@@ -6,6 +6,10 @@ For each law, over Q(i) and F_5 at n <= 3, one hash covers
   - run_suite(...).to_json_dict();
   - search_counterexample(...) without a statement and for each statement.
 
+A second hash pins the same reports with K-inverse membership negated
+inside the law checker, a planted fault that drives the violation,
+witness and inconclusive paths a correct checker never takes.
+
 The pool mixes weights generated for either commute side, the four-way
 weights of T38/T39, identity and scalar weights, and a few explicit
 instances, so that every law meets instances failing its side hypothesis
@@ -18,6 +22,10 @@ To print the hashes of the current code: python tests/test_golden.py
 import hashlib
 import json
 from dataclasses import replace
+
+import pytest
+
+import rolcheck.laws
 
 from rolcheck import (
     GAUSSIAN_RATIONAL,
@@ -116,6 +124,8 @@ GOLDEN = {
     "T39": "002576265721db41afbef781249a1e9bf03a6b0d25c9679042d7fbfcf04ad1e1",
 }
 
+GOLDEN_UNDER_FAULT = "fce0ec4a0cb5ebb1fdcbe9344ea8177389625048c148e186487d555138401d3a"
+
 
 def _pool():
     pool = []
@@ -174,6 +184,19 @@ def test_golden_reports():
     assert hashes == GOLDEN
 
 
+def compute_fault_hash():
+    pool = _pool()
+    real = rolcheck.laws.is_k_inverse
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rolcheck.laws, "is_k_inverse", lambda a, x, k: not real(a, x, k))
+        return _digest([_law_reports(law, pool) for law in LawId])
+
+
+def test_golden_reports_under_planted_fault():
+    assert compute_fault_hash() == GOLDEN_UNDER_FAULT
+
+
 if __name__ == "__main__":
     for name, digest in compute_hashes()[0].items():
         print(f'    "{name}": "{digest}",')
+    print(f'GOLDEN_UNDER_FAULT = "{compute_fault_hash()}"')
