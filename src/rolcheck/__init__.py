@@ -8,6 +8,7 @@ and counterexample search.
 """
 
 from .errors import (
+    BlanketIdentityFailed,
     DimensionMismatch,
     DivisionByZero,
     DomainMismatch,

@@ -23,7 +23,7 @@ from .geninv import group_inverse, mp_inverse, penrose_residuals
 from .harness import InstanceSpec, run_suite, search_counterexample
 from .laws import (
     INCONCLUSIVE,
-    SAMPLED_STATEMENT,
+    LAWS,
     VIOLATION,
     LawContext,
     LawId,
@@ -218,7 +218,7 @@ def _cmd_kcheck(args) -> int:
     return EXIT_OK
 
 
-def _law_check_context(args, law):
+def _law_check_context(args):
     a = _load_matrix(args.a)
     b = _load_matrix(args.b)
     if args.c is not None and args.lam is not None:
@@ -236,13 +236,13 @@ def _law_check_context(args, law):
 def _cmd_law_check(args) -> int:
     law = _parse_law(args.law)
     try:
-        ctx = _law_check_context(args, law)
+        ctx = _law_check_context(args)
     except NoMPInverse as exc:
         print(f"cannot build context: {exc}", file=sys.stderr)
         return EXIT_FOUND
     if args.stmt is not None:
         try:
-            if SAMPLED_STATEMENT.get(law) == args.stmt:
+            if LAWS[law].is_sampled(args.stmt):
                 verdict = inclusion_statement_sampled(law, ctx, args.samples, args.seed)
                 value = verdict.all_passed
                 print(f"{law} ({args.stmt}) sampled over {verdict.tested} draws: {value}")

@@ -45,5 +45,14 @@ class HypothesisNotMet(RolcheckError):
         self.hypothesis = hypothesis
 
 
+class BlanketIdentityFailed(RolcheckError):
+    """A defining identity of the blanket elements p, q, r, s fails, so a
+    computed a+ or b+ is not a Moore-Penrose inverse."""
+
+    def __init__(self, identity):
+        super().__init__(f"blanket identity fails: {identity}")
+        self.identity = identity
+
+
 class InvalidSpec(RolcheckError):
     """An instance-generation spec is out of range or inconsistent."""

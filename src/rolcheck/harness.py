@@ -14,13 +14,11 @@ from dataclasses import dataclass, replace
 
 import random
 
-from .errors import InvalidSpec, NoMPInverse
+from .errors import HypothesisNotMet, InvalidSpec, NoMPInverse
 from .laws import (
-    COMMUTE_SIDE,
     EQUIVALENT,
     INCONCLUSIVE,
-    SAMPLED_STATEMENT,
-    STATEMENTS,
+    LAWS,
     VIOLATION,
     EquivalenceReport,
     LawContext,
@@ -29,7 +27,6 @@ from .laws import (
     inclusion_statement_sampled,
     law_statement,
 )
-from .errors import HypothesisNotMet
 from .matrices import Matrix, matrix_to_json, domain_to_json, random_matrix, rank
 from .peirce import matrix_equation_basis, random_combination, sample_commutant
 from .scalars import ScalarDomain
@@ -111,26 +108,23 @@ def gen_instance(spec: InstanceSpec, law: LawId | None = None):
     b = random_matrix_of_rank(spec.domain, n, n, rank_b, rng)
 
     mode = spec.weight_mode
-    if law == LawId.C27 and mode == "commutant":
-        raise InvalidSpec("C27 takes a scalar weight; use weight_mode scalar or identity")
+    side = LAWS[law].side if law is not None else "b"
+    if side == "scalar" and mode == "commutant":
+        raise InvalidSpec(f"{law} takes a scalar weight; use weight_mode scalar or identity")
     if mode == "identity":
         c = Matrix.identity(n, spec.domain)
     elif mode == "scalar":
         lam = spec.weight_scalar
         lam = spec.domain.coerce(lam) if lam is not None else _nonzero_scalar(spec.domain, rng)
         c = Matrix.identity(n, spec.domain).scale(lam)
-    else:  # commutant
-        if law in (LawId.T38, LawId.T39):
-            side_matrix = a if law == LawId.T38 else b
-            c = _constrained_weight(side_matrix, a @ b, rng)
-        else:
-            side = COMMUTE_SIDE.get(law) if law is not None else "b"
-            if side == "a":
-                c = sample_commutant(a, rng.getrandbits(32))
-            elif side == "b":
-                c = sample_commutant(b, rng.getrandbits(32))
-            else:
-                c = Matrix.identity(n, spec.domain)
+    elif law is not None and LAWS[law].weight_fixes_ab:
+        c = _constrained_weight(a if side == "a" else b, a @ b, rng)
+    elif side == "a":
+        c = sample_commutant(a, rng.getrandbits(32))
+    elif side == "b":
+        c = sample_commutant(b, rng.getrandbits(32))
+    else:
+        c = Matrix.identity(n, spec.domain)
     return a, b, c
 
 
@@ -173,17 +167,37 @@ def _trial_seeds(master: int, trial: int):
     return base, base + 1
 
 
-def _serialize_instance(trial, a, b, c, report: EquivalenceReport) -> dict:
+def _trials(law: LawId, spec: InstanceSpec, count: int):
+    """Yield (trial, sample seed, context) for `count` generated instances.
+
+    The context is None when a or b has no Moore-Penrose inverse (possible
+    over prime fields only)."""
+    for trial in range(count):
+        gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
+        a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
+        try:
+            ctx = LawContext(a, b, c)
+        except NoMPInverse:
+            ctx = None
+        yield trial, sample_seed, ctx
+
+
+def _serialize_instance(trial, ctx: LawContext, **fields) -> dict:
+    """Replayable witness: the trial's a, b and c, then the fields that
+    are not None."""
     out = {
         "trial": trial,
-        "a": matrix_to_json(a),
-        "b": matrix_to_json(b),
-        "c": matrix_to_json(c),
-        "statement_values": dict(report.statement_values),
+        "a": matrix_to_json(ctx.a),
+        "b": matrix_to_json(ctx.b),
+        "c": matrix_to_json(ctx.c),
     }
-    if report.details is not None:
-        out["details"] = report.details
+    out.update((name, value) for name, value in fields.items() if value is not None)
     return out
+
+
+def _violation(trial, ctx: LawContext, report: EquivalenceReport) -> dict:
+    return _serialize_instance(trial, ctx, statement_values=dict(report.statement_values),
+                               details=report.details)
 
 
 def run_suite(
@@ -205,12 +219,8 @@ def run_suite(
     inconclusive = 0
     skips = 0
     violations = []
-    for trial in range(trials):
-        gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
-        a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
-        try:
-            ctx = LawContext(a, b, c)
-        except NoMPInverse:
+    for trial, sample_seed, ctx in _trials(law, spec, trials):
+        if ctx is None:
             skips += 1
             continue
         report = check_equivalence(
@@ -221,7 +231,7 @@ def run_suite(
         elif report.verdict == INCONCLUSIVE:
             inconclusive += 1
         elif report.verdict == VIOLATION:
-            violations.append(_serialize_instance(trial, a, b, c, report))
+            violations.append(_violation(trial, ctx, report))
         else:
             skips += 1
     return SuiteResult(
@@ -254,14 +264,10 @@ def search_counterexample(
     found.  Returns a serialized witness dict or None."""
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
-    if stmt is not None and stmt not in STATEMENTS[law]:
+    if stmt is not None and stmt not in LAWS[law].statements:
         raise InvalidSpec(f"law {law} has no statement {stmt!r}")
-    for trial in range(budget):
-        gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
-        a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
-        try:
-            ctx = LawContext(a, b, c)
-        except NoMPInverse:
+    for trial, sample_seed, ctx in _trials(law, spec, budget):
+        if ctx is None:
             continue
         if stmt is None:
             report = check_equivalence(
@@ -269,10 +275,10 @@ def search_counterexample(
                 falsify_samples=falsify_samples,
             )
             if report.verdict == VIOLATION:
-                return _serialize_instance(trial, a, b, c, report)
+                return _violation(trial, ctx, report)
             continue
         try:
-            if SAMPLED_STATEMENT.get(law) == stmt:
+            if LAWS[law].is_sampled(stmt):
                 verdict = inclusion_statement_sampled(law, ctx, falsify_samples, sample_seed)
                 value = None if verdict.all_passed else False
             else:
@@ -280,12 +286,5 @@ def search_counterexample(
         except HypothesisNotMet:
             continue
         if value is False:
-            return {
-                "trial": trial,
-                "a": matrix_to_json(a),
-                "b": matrix_to_json(b),
-                "c": matrix_to_json(c),
-                "statement": stmt,
-                "value": False,
-            }
+            return _serialize_instance(trial, ctx, statement=stmt, value=False)
     return None

@@ -27,6 +27,10 @@ Law identifiers and their statement (i):
     T38       four-way: b b+ a* a b = a* a b, the {1,3} inclusion,
               b+ a+ c in (a b){1,3}, b+ a+ c in (a b){1,2,3}
     T39       dual four-way with {1,4} and c b+ a+
+
+Everything the checker knows about a law (its commute side, further
+hypotheses, statements and sampled inclusion, and whether its weight must
+also fix ab) is one LawSpec entry of the LAWS registry below.
 """
 
 from __future__ import annotations
@@ -35,9 +39,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional
 
-from .errors import DimensionMismatch, HypothesisNotMet
+from .errors import BlanketIdentityFailed, DimensionMismatch, HypothesisNotMet
 from .geninv import commutes_with_pair, mp_exists, mp_inverse
 from .matrices import Matrix, matrix_to_json, random_matrix
 from .peirce import is_k_inverse
@@ -65,56 +69,6 @@ class LawId(Enum):
         return self.value
 
 
-# Which matrix the weight must commute with (together with its star).
-COMMUTE_SIDE = {
-    LawId.T23: "b",
-    LawId.T24: "a",
-    LawId.T25: "a",
-    LawId.T26: "b",
-    LawId.C27: "scalar",
-    LawId.GREVILLE: None,
-    LawId.KOLIHA_DC: None,
-    LawId.T32: "a",
-    LawId.C33: "a",
-    LawId.T34: "b",
-    LawId.C35: "b",
-    LawId.T36: "a",
-    LawId.T37: "b",
-    LawId.T38: "a",
-    LawId.T39: "b",
-}
-
-# Statement ids per law, in reporting order.  Exactly one statement of the
-# set-inclusion laws is quantified and handled by sampling.
-STATEMENTS = {
-    LawId.T23: ("i", "ii", "iii"),
-    LawId.T24: ("i", "ii", "iii"),
-    LawId.T25: ("i", "ii", "iii"),
-    LawId.T26: ("i", "ii", "iii"),
-    LawId.C27: ("i", "ii", "iii"),
-    LawId.GREVILLE: ("i", "ii"),
-    LawId.KOLIHA_DC: ("i", "ii"),
-    LawId.T32: ("i", "ii"),
-    LawId.C33: ("i", "ii"),
-    LawId.T34: ("i", "ii"),
-    LawId.C35: ("i", "ii"),
-    LawId.T36: ("i", "ii"),
-    LawId.T37: ("i", "ii"),
-    LawId.T38: ("i", "ii", "iii", "iv"),
-    LawId.T39: ("i", "ii", "iii", "iv"),
-}
-
-SAMPLED_STATEMENT = {
-    LawId.T32: "i",
-    LawId.C33: "i",
-    LawId.T34: "i",
-    LawId.C35: "i",
-    LawId.T36: "i",
-    LawId.T37: "i",
-    LawId.T38: "ii",
-    LawId.T39: "ii",
-}
-
 EQUIVALENT = "equivalent"
 VIOLATION = "violation"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
@@ -125,8 +79,9 @@ class LawContext:
     """An instance (a, b, c) with the blanket elements precomputed.
 
     Construction fails with NoMPInverse when a or b lacks a
-    Moore-Penrose inverse (possible over prime fields only); the
-    defining identities of the blanket elements are verified eagerly.
+    Moore-Penrose inverse (possible over prime fields only).  The
+    defining identities of the blanket elements are verified eagerly, and
+    a failing one raises BlanketIdentityFailed naming it.
     """
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix):
@@ -150,12 +105,18 @@ class LawContext:
         self.q = self.a_dag @ self.a_dag_star
         self.r = b @ self.b_star
         self.s = self.a_dag @ a
-        assert self.p.is_hermitian() and self.q.is_hermitian()
-        assert self.r.is_hermitian() and self.s.is_hermitian()
-        assert a @ self.s == a
-        assert a @ self.q == self.a_dag_star
-        assert self.r @ self.b_dag_star == b
-        assert self.p @ self.b_dag_star == self.b_dag_star
+        for identity, holds in (
+            ("p = bb+ is hermitian", lambda: self.p.is_hermitian()),
+            ("q = a+ a+* is hermitian", lambda: self.q.is_hermitian()),
+            ("r = bb* is hermitian", lambda: self.r.is_hermitian()),
+            ("s = a+a is hermitian", lambda: self.s.is_hermitian()),
+            ("a = as", lambda: a @ self.s == a),
+            ("(a+)* = aq", lambda: a @ self.q == self.a_dag_star),
+            ("b = r(b+)*", lambda: self.r @ self.b_dag_star == b),
+            ("(b+)* = p(b+)*", lambda: self.p @ self.b_dag_star == self.b_dag_star),
+        ):
+            if not holds():
+                raise BlanketIdentityFailed(identity)
 
     @cached_property
     def e(self) -> Matrix:
@@ -228,51 +189,6 @@ def _mp_ok(m: Matrix) -> bool:
     if isinstance(m.domain, PrimeFieldDomain):
         return mp_exists(m)
     return True
-
-
-def _require(cond: bool, name: str):
-    if not cond:
-        raise HypothesisNotMet(name)
-
-
-def check_hypotheses(law: LawId, ctx: LawContext):
-    """Raise HypothesisNotMet (naming the offender) unless the instance
-    satisfies every hypothesis of the law."""
-    side = COMMUTE_SIDE[law]
-    if side == "a":
-        _require(commutes_with_pair(ctx.c, ctx.a), "c commutes with a and a*")
-    elif side == "b":
-        _require(commutes_with_pair(ctx.c, ctx.b), "c commutes with b and b*")
-    elif side == "scalar":
-        _require(_is_scalar_matrix(ctx.c), "c is a scalar multiple of the identity")
-
-    if law in (LawId.T23, LawId.T24, LawId.C27, LawId.GREVILLE, LawId.KOLIHA_DC):
-        _require(_mp_ok(ctx.ab), "ab is Moore-Penrose invertible")
-    if law in (LawId.T24, LawId.T26):
-        _require(_mp_ok(ctx.q), "q = a+ a+* is Moore-Penrose invertible")
-        _require(_mp_ok(ctx.r), "r = b b* is Moore-Penrose invertible")
-    if law == LawId.KOLIHA_DC:
-        _require(_mp_ok(ctx.q), "q = a+ a+* is Moore-Penrose invertible")
-    if law == LawId.T25:
-        _require(_mp_ok(ctx.c @ ctx.ab), "cab is Moore-Penrose invertible")
-    if law == LawId.T26:
-        _require(_mp_ok(ctx.ab @ ctx.c), "abc is Moore-Penrose invertible")
-    if law == LawId.C33:
-        _require(_mp_ok(ctx.a @ (ctx.e - ctx.p)), "a(e - bb+) is Moore-Penrose invertible")
-    if law == LawId.C35:
-        _require(_mp_ok((ctx.e - ctx.s) @ ctx.b), "(e - a+a)b is Moore-Penrose invertible")
-    if law == LawId.T38:
-        _require(ctx.c @ ctx.ab == ctx.ab, "cab = ab")
-        _require(ctx.c_star @ ctx.ab == ctx.ab, "c*ab = ab")
-        _require(_mp_ok(ctx.ab), "ab is Moore-Penrose invertible")
-        _require(_mp_ok(ctx.a @ ctx.p), "abb+ is Moore-Penrose invertible")
-        _require(_mp_ok(ctx.a @ (ctx.e - ctx.p)), "a(e - bb+) is Moore-Penrose invertible")
-    if law == LawId.T39:
-        _require(ctx.ab @ ctx.c == ctx.ab, "abc = ab")
-        _require(ctx.ab @ ctx.c_star == ctx.ab, "abc* = ab")
-        _require(_mp_ok(ctx.ab), "ab is Moore-Penrose invertible")
-        _require(_mp_ok(ctx.s @ ctx.b), "a+ab is Moore-Penrose invertible")
-        _require(_mp_ok((ctx.e - ctx.s) @ ctx.b), "(e - a+a)b is Moore-Penrose invertible")
 
 
 # --- exact statement evaluators ---------------------------------------------
@@ -442,39 +358,118 @@ def _t39_iv(ctx):
     return is_k_inverse(ctx.ab, ctx.c @ ctx.b_dag @ ctx.a_dag, {1, 2, 4})
 
 
-_EXACT = {
-    (LawId.T23, "i"): _t23_i,
-    (LawId.T23, "ii"): _t23_ii,
-    (LawId.T23, "iii"): _t23_iii,
-    (LawId.T24, "i"): _t24_i,
-    (LawId.T24, "ii"): _t24_ii,
-    (LawId.T24, "iii"): _t24_iii,
-    (LawId.T25, "i"): _t25_i,
-    (LawId.T25, "ii"): _t25_ii,
-    (LawId.T25, "iii"): _t25_iii,
-    (LawId.T26, "i"): _t26_i,
-    (LawId.T26, "ii"): _t26_ii,
-    (LawId.T26, "iii"): _t26_iii,
-    (LawId.C27, "i"): _c27_i,
-    (LawId.C27, "ii"): _c27_ii,
-    (LawId.C27, "iii"): _c27_iii,
-    (LawId.GREVILLE, "i"): _greville_i,
-    (LawId.GREVILLE, "ii"): _greville_ii,
-    (LawId.KOLIHA_DC, "i"): _greville_i,
-    (LawId.KOLIHA_DC, "ii"): _koliha_ii,
-    (LawId.T32, "ii"): _t32_ii,
-    (LawId.C33, "ii"): _c33_ii,
-    (LawId.T34, "ii"): _t34_ii,
-    (LawId.C35, "ii"): _c35_ii,
-    (LawId.T36, "ii"): _t36_ii,
-    (LawId.T37, "ii"): _t37_ii,
-    (LawId.T38, "i"): _t38_i,
-    (LawId.T38, "iii"): _t38_iii,
-    (LawId.T38, "iv"): _t38_iv,
-    (LawId.T39, "i"): _t39_i,
-    (LawId.T39, "iii"): _t39_iii,
-    (LawId.T39, "iv"): _t39_iv,
+# --- the law registry -------------------------------------------------------
+#
+# Predicates, targets and products call library functions by their module
+# names at call time, never through stored references, so that code that
+# rebinds those names (a tracer, say) sees every call.
+
+
+@dataclass(frozen=True)
+class SampledStatement:
+    """A quantified statement: every product of sampled K-inverses of b
+    and a lies in the target's K-inverse set."""
+
+    stmt: str
+    ks: tuple  # K: (1, 3) or (1, 4)
+    target: Callable[[LawContext], Matrix]
+    product: Callable[[LawContext, Matrix, Matrix], Matrix]  # (ctx, b_inv, a_inv)
+
+
+@dataclass(frozen=True)
+class LawSpec:
+    """Everything the checker knows about one law."""
+
+    side: Optional[str]  # c commutes with this and its star: "a", "b", "scalar" or None
+    hypotheses: tuple  # further (name, predicate on LawContext) pairs, in checking order
+    statements: dict  # statement id -> exact evaluator (None: sampled), in reporting order
+    sampled: Optional[SampledStatement] = None
+    weight_fixes_ab: bool = False  # generated weights also satisfy c ab = ab (T38/T39)
+
+    def is_sampled(self, stmt: str) -> bool:
+        return self.sampled is not None and self.sampled.stmt == stmt
+
+
+def _statements(*evaluators) -> dict:
+    return dict(zip(("i", "ii", "iii", "iv"), evaluators))
+
+
+_SIDE_HYPOTHESES = {
+    "a": (("c commutes with a and a*", lambda ctx: commutes_with_pair(ctx.c, ctx.a)),),
+    "b": (("c commutes with b and b*", lambda ctx: commutes_with_pair(ctx.c, ctx.b)),),
+    "scalar": (("c is a scalar multiple of the identity", lambda ctx: _is_scalar_matrix(ctx.c)),),
 }
+
+_AB_MP = ("ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab))
+_Q_MP = ("q = a+ a+* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.q))
+_R_MP = ("r = b b* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.r))
+_CAB_MP = ("cab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.c @ ctx.ab))
+_ABC_MP = ("abc is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab @ ctx.c))
+_A_COMP_MP = ("a(e - bb+) is Moore-Penrose invertible",
+              lambda ctx: _mp_ok(ctx.a @ (ctx.e - ctx.p)))
+_B_COMP_MP = ("(e - a+a)b is Moore-Penrose invertible",
+              lambda ctx: _mp_ok((ctx.e - ctx.s) @ ctx.b))
+
+LAWS = {
+    LawId.T23: LawSpec("b", (_AB_MP,), _statements(_t23_i, _t23_ii, _t23_iii)),
+    LawId.T24: LawSpec("a", (_AB_MP, _Q_MP, _R_MP), _statements(_t24_i, _t24_ii, _t24_iii)),
+    LawId.T25: LawSpec("a", (_CAB_MP,), _statements(_t25_i, _t25_ii, _t25_iii)),
+    LawId.T26: LawSpec("b", (_Q_MP, _R_MP, _ABC_MP), _statements(_t26_i, _t26_ii, _t26_iii)),
+    LawId.C27: LawSpec("scalar", (_AB_MP,), _statements(_c27_i, _c27_ii, _c27_iii)),
+    LawId.GREVILLE: LawSpec(None, (_AB_MP,), _statements(_greville_i, _greville_ii)),
+    LawId.KOLIHA_DC: LawSpec(None, (_AB_MP, _Q_MP), _statements(_greville_i, _koliha_ii)),
+    LawId.T32: LawSpec("a", (), _statements(None, _t32_ii), SampledStatement(
+        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
+    LawId.C33: LawSpec("a", (_A_COMP_MP,), _statements(None, _c33_ii), SampledStatement(
+        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
+    LawId.T34: LawSpec("b", (), _statements(None, _t34_ii), SampledStatement(
+        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
+    LawId.C35: LawSpec("b", (_B_COMP_MP,), _statements(None, _c35_ii), SampledStatement(
+        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
+    LawId.T36: LawSpec("a", (), _statements(None, _t36_ii), SampledStatement(
+        "i", (1, 3), lambda ctx: ctx.c @ ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
+    LawId.T37: LawSpec("b", (), _statements(None, _t37_ii), SampledStatement(
+        "i", (1, 4), lambda ctx: ctx.ab @ ctx.c, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
+    LawId.T38: LawSpec(
+        "a",
+        (
+            ("cab = ab", lambda ctx: ctx.c @ ctx.ab == ctx.ab),
+            ("c*ab = ab", lambda ctx: ctx.c_star @ ctx.ab == ctx.ab),
+            _AB_MP,
+            ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
+            _A_COMP_MP,
+        ),
+        _statements(_t38_i, None, _t38_iii, _t38_iv),
+        SampledStatement(
+            "ii", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c
+        ),
+        weight_fixes_ab=True,
+    ),
+    LawId.T39: LawSpec(
+        "b",
+        (
+            ("abc = ab", lambda ctx: ctx.ab @ ctx.c == ctx.ab),
+            ("abc* = ab", lambda ctx: ctx.ab @ ctx.c_star == ctx.ab),
+            _AB_MP,
+            ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
+            _B_COMP_MP,
+        ),
+        _statements(_t39_i, None, _t39_iii, _t39_iv),
+        SampledStatement(
+            "ii", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
+        ),
+        weight_fixes_ab=True,
+    ),
+}
+
+
+def check_hypotheses(law: LawId, ctx: LawContext):
+    """Raise HypothesisNotMet (naming the offender) unless the instance
+    satisfies every hypothesis of the law."""
+    spec = LAWS[law]
+    for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses):
+        if not holds(ctx):
+            raise HypothesisNotMet(name)
 
 
 def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
@@ -483,14 +478,12 @@ def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
     Quantified (set-inclusion) statements are not evaluable here; use
     inclusion_statement_sampled for those."""
     check_hypotheses(law, ctx)
-    fn = _EXACT.get((law, stmt))
-    if fn is None:
-        if SAMPLED_STATEMENT.get(law) == stmt:
-            raise ValueError(
-                f"{law} ({stmt}) is quantified; use inclusion_statement_sampled"
-            )
+    statements = LAWS[law].statements
+    if stmt not in statements:
         raise ValueError(f"unknown statement {stmt!r} for {law}")
-    return fn(ctx)
+    if statements[stmt] is None:
+        raise ValueError(f"{law} ({stmt}) is quantified; use inclusion_statement_sampled")
+    return statements[stmt](ctx)
 
 
 @dataclass(frozen=True)
@@ -498,14 +491,6 @@ class SampledVerdict:
     all_passed: bool
     tested: int
     witness: Optional[tuple] = None  # (b_side_inverse, a_side_inverse, product)
-
-
-def _sampled_target(law: LawId, ctx: LawContext) -> Matrix:
-    if law == LawId.T36:
-        return ctx.c @ ctx.ab
-    if law == LawId.T37:
-        return ctx.ab @ ctx.c
-    return ctx.ab
 
 
 def inclusion_statement_sampled(
@@ -517,14 +502,14 @@ def inclusion_statement_sampled(
     sampled {1,3}- or {1,4}-inverses, and checks membership in the target
     K-inverse set.  Stops at the first failing product and reports it as
     a counterexample witness."""
-    if law not in SAMPLED_STATEMENT:
+    sampled = LAWS[law].sampled
+    if sampled is None:
         raise ValueError(f"{law} has no quantified statement")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     check_hypotheses(law, ctx)
-    target = _sampled_target(law, ctx)
-    kind13 = law in (LawId.T32, LawId.C33, LawId.T36, LawId.T38)
-    ks = {1, 3} if kind13 else {1, 4}
+    target = sampled.target(ctx)
+    kind13 = 3 in sampled.ks
     rng = random.Random(seed)
     n = ctx.a.rows
     domain = ctx.a.domain
@@ -537,13 +522,8 @@ def inclusion_statement_sampled(
         else:
             a_inv = ctx.a_dag + xa @ ctx.comp14_a
             b_inv = ctx.b_dag + xb @ ctx.comp14_b
-        if law in (LawId.T32, LawId.C33, LawId.T38):
-            product = b_inv @ a_inv @ ctx.c
-        elif law in (LawId.T34, LawId.C35, LawId.T39):
-            product = ctx.c @ b_inv @ a_inv
-        else:  # T36, T37
-            product = b_inv @ a_inv
-        if not is_k_inverse(target, product, ks):
+        product = sampled.product(ctx, b_inv, a_inv)
+        if not is_k_inverse(target, product, sampled.ks):
             return SampledVerdict(False, t + 1, (b_inv, a_inv, product))
     return SampledVerdict(True, samples, None)
 
@@ -600,32 +580,25 @@ def check_equivalence(
         return EquivalenceReport(
             law, {}, False, HYPOTHESIS_NOT_MET, details=exc.hypothesis
         )
-    sampled = SAMPLED_STATEMENT.get(law)
-    values = {}
-    for stmt in STATEMENTS[law]:
-        if stmt != sampled:
-            values[stmt] = _EXACT[(law, stmt)](ctx)
+    spec = LAWS[law]
+    sampled = spec.sampled.stmt if spec.sampled is not None else None
+    values = {stmt: fn(ctx) for stmt, fn in spec.statements.items() if fn is not None}
     exact_values = set(values.values())
     witness = None
     notes = None
     details = None
     if sampled is None:
         verdict = EQUIVALENT if len(exact_values) == 1 else VIOLATION
-        if verdict == VIOLATION:
-            details = _disagreement(values)
     elif len(exact_values) > 1:
         values[sampled] = None
         verdict = VIOLATION
-        details = _disagreement(values)
     else:
         expected = exact_values.pop()
-        target = _sampled_target(law, ctx)
+        target = spec.sampled.target(ctx)
         if target.is_zero():
             values[sampled] = True
             notes = "target product is zero; every candidate is trivially a K-inverse"
             verdict = EQUIVALENT if expected else VIOLATION
-            if verdict == VIOLATION:
-                details = _disagreement(values)
         elif expected:
             sv = inclusion_statement_sampled(law, ctx, samples, seed)
             values[sampled] = sv.all_passed
@@ -647,7 +620,9 @@ def check_equivalence(
                 values[sampled] = False
                 verdict = EQUIVALENT
                 witness = sv.witness
-    ordered = {stmt: values[stmt] for stmt in STATEMENTS[law]}
+    if verdict == VIOLATION and details is None:
+        details = _disagreement(values)
+    ordered = {stmt: values[stmt] for stmt in spec.statements}
     return EquivalenceReport(law, ordered, True, verdict, details, witness, notes)
 
 

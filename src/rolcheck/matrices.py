@@ -284,6 +284,8 @@ def domain_from_json(obj) -> ScalarDomain:
     if obj == "gaussian_rational":
         return GAUSSIAN_RATIONAL
     if isinstance(obj, dict) and set(obj) == {"prime_field"}:
+        if type(obj["prime_field"]) is not int:  # bool is an int subclass
+            raise ValueError(f"prime_field must be an integer, got {obj['prime_field']!r}")
         return prime_field(obj["prime_field"])
     raise ValueError(f"unknown domain tag: {obj!r}")
 
@@ -308,9 +310,13 @@ def matrix_from_json(obj) -> Matrix:
         raw = obj["entries"]
     except KeyError as exc:
         raise ValueError(f"matrix JSON missing key {exc}") from exc
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
         raise ValueError("rows/cols must be integers")
+    if not isinstance(raw, list) or not all(isinstance(r, list) for r in raw):
+        raise ValueError("entries must be a list of row lists")
     if len(raw) != rows or any(len(r) != cols for r in raw):
         raise ValueError("entries do not match the declared shape")
+    if not all(isinstance(s, str) for r in raw for s in r):
+        raise ValueError("entries must be strings")
     flat = [domain.parse(s) for r in raw for s in r]
     return Matrix(rows, cols, domain, flat)

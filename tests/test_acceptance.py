@@ -46,7 +46,7 @@ from rolcheck import (
     variant_context,
 )
 from rolcheck.harness import _trial_seeds, random_matrix_of_rank
-from rolcheck.laws import STATEMENTS
+from rolcheck.laws import LAWS
 from rolcheck.matrices import random_matrix
 
 G = GAUSSIAN_RATIONAL
@@ -164,7 +164,7 @@ def test_criterion_05_section2_variants(law):
             assert report.verdict == EQUIVALENT, (law, trial, report.statement_values)
             if law != LawId.C27:
                 vctx = variant_context(ctx, law)
-                for stmt in STATEMENTS[law]:
+                for stmt in LAWS[law].statements:
                     assert law_statement(law, stmt, ctx) == law_statement(
                         LawId.T23, stmt, vctx
                     ), (law, stmt, trial)

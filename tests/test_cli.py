@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -175,6 +177,31 @@ def test_malformed_input_exits_3(tmp_path):
     assert run_cli(["suite", "--law", "T99", "--trials", "1"]).returncode == 3
     assert run_cli(["suite", "--law", "T23", "--size", "99", "--trials", "1"]).returncode == 3
     assert run_cli(["nonsense"]).returncode == 3
+
+
+def _one_by_one(**fields):
+    return {"domain": "gaussian_rational", "rows": 1, "cols": 1, "entries": [["5"]], **fields}
+
+
+@pytest.mark.parametrize("obj", [
+    _one_by_one(entries=[[5]]),
+    _one_by_one(entries=[[None]]),
+    _one_by_one(entries="5"),
+    _one_by_one(entries=["5"]),
+    _one_by_one(rows=True),
+    _one_by_one(cols=True),
+    _one_by_one(rows=1.0),
+    _one_by_one(domain={"prime_field": True}),
+    _one_by_one(domain={"prime_field": "5"}),
+], ids=["int-entry", "null-entry", "string-entries", "string-row", "bool-rows",
+        "bool-cols", "float-rows", "bool-prime", "string-prime"])
+def test_malformed_matrix_file_exits_3(tmp_path, obj):
+    f = tmp_path / "bad.json"
+    write_matrix(f, obj)
+    result = run_cli(["mp", "--in", str(f)])
+    assert result.returncode == 3, result.stderr
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1, result.stderr
 
 
 def test_prime_field_suite_cli(tmp_path):

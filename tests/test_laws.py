@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +26,7 @@ from rolcheck import (
     variant_context,
 )
 from rolcheck.harness import _trial_seeds
-from rolcheck.laws import STATEMENTS
+from rolcheck.laws import LAWS
 
 G = GAUSSIAN_RATIONAL
 
@@ -105,7 +109,7 @@ def test_section2_equivalences_hold(law):
 def test_reduction_to_t23_is_exact(law):
     for ctx, _ in _instances(law, 25, seed=33):
         vctx = variant_context(ctx, law)
-        for stmt in STATEMENTS[law]:
+        for stmt in LAWS[law].statements:
             assert law_statement(law, stmt, ctx) == law_statement(LawId.T23, stmt, vctx)
 
 
@@ -238,3 +242,43 @@ def test_commutation_hypothesis_gate():
         law_statement(LawId.T23, "i", ctx)
     with pytest.raises(HypothesisNotMet):
         law_statement(LawId.T24, "i", ctx)
+
+
+@pytest.mark.parametrize("law", list(LawId))
+def test_registry_entry_is_consistent(law):
+    spec = LAWS[law]
+    assert spec.side in ("a", "b", "scalar", None)
+    sampled = [stmt for stmt, fn in spec.statements.items() if fn is None]
+    if spec.sampled is None:
+        assert sampled == []
+    else:
+        assert sampled == [spec.sampled.stmt]
+        assert spec.sampled.ks in ((1, 3), (1, 4))
+    # the four-way weights fix ab from the side they commute with
+    assert not spec.weight_fixes_ab or spec.side in ("a", "b")
+
+
+_PLANTED_MP_SCRIPT = """
+import sys
+import rolcheck.laws as laws
+from rolcheck import GAUSSIAN_RATIONAL, BlanketIdentityFailed, Matrix
+
+print("optimize:", sys.flags.optimize)
+real_mp_inverse = laws.mp_inverse
+laws.mp_inverse = lambda m: real_mp_inverse(m).scale(2)
+e = Matrix.identity(2, GAUSSIAN_RATIONAL)
+try:
+    laws.LawContext(e, e, e)
+except BlanketIdentityFailed as exc:
+    print("caught:", exc.identity)
+"""
+
+
+def test_blanket_identity_checks_survive_python_O():
+    # A planted mp_inverse returning 2 a+ keeps s = a+a hermitian but
+    # breaks a = as; the check must fire although -O strips asserts.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-O", "-c", _PLANTED_MP_SCRIPT],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["optimize: 1", "caught: a = as"]
