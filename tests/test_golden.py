@@ -16,11 +16,16 @@ instances, so that every law meets instances failing its side hypothesis
 and its further hypotheses.  A change of any report, hypothesis name or
 checking order changes a hash.
 
+A third set of hashes pins weights at n = 6, the size where exact
+elimination on the weight system swells: sample_commutant over Q(i) and
+the four-way weight of harness._constrained_weight over F_7.
+
 To print the hashes of the current code: python tests/test_golden.py
 """
 
 import hashlib
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -39,8 +44,11 @@ from rolcheck import (
     gen_instance,
     prime_field,
     run_suite,
+    matrix_to_json,
+    sample_commutant,
     search_counterexample,
 )
+from rolcheck.harness import _constrained_weight, random_matrix_of_rank
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
@@ -196,7 +204,40 @@ def test_golden_reports_under_planted_fault():
     assert compute_fault_hash() == GOLDEN_UNDER_FAULT
 
 
+# Weights at n = 6, keyed by domain and seed.  Over Q(i), a commutant of
+# a rank-4 b (a 72x36 system).  Over F_7, the four-way weight for
+# m = u u* of rank 2 and a rank-1 ab (a 144x36 system); the weight bases
+# have dimension 9 and 10, where a generic rank-4 m leaves only e.
+GOLDEN_WEIGHTS = {
+    "qi-0": "4837cf210e3df46077b2349b24d97396184c6dffc91047f99aea7e7278ae1f97",
+    "qi-1": "9714031e0801792db8e786e9938bc9e4ae3194aed42812c17c4f1904bd73cb26",
+    "f7-0": "f1ba7df709f25977151dedceb350bc228fe55d42d7bfc9647e9a47cd3c9aea0e",
+    "f7-2": "4e9d1e3464609983888f4c1af01e27dabaf2d2949e39b7014ba2a3aa98aeb363",
+}
+
+
+def compute_weight_hashes():
+    hashes = {}
+    for seed in (0, 1):
+        b = random_matrix_of_rank(G, 6, 6, 4, random.Random(seed))
+        hashes[f"qi-{seed}"] = _digest(matrix_to_json(sample_commutant(b, seed)))
+    f7 = prime_field(7)
+    for seed in (0, 2):
+        rng = random.Random(seed)
+        u = random_matrix_of_rank(f7, 6, 2, 2, rng)
+        ab = random_matrix_of_rank(f7, 6, 6, 1, rng)
+        c = _constrained_weight(u @ u.star(), ab, rng)
+        hashes[f"f7-{seed}"] = _digest(matrix_to_json(c))
+    return hashes
+
+
+def test_golden_weights_n6():
+    assert compute_weight_hashes() == GOLDEN_WEIGHTS
+
+
 if __name__ == "__main__":
     for name, digest in compute_hashes()[0].items():
         print(f'    "{name}": "{digest}",')
     print(f'GOLDEN_UNDER_FAULT = "{compute_fault_hash()}"')
+    for name, digest in compute_weight_hashes().items():
+        print(f'    "{name}": "{digest}",')
