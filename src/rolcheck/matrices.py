@@ -6,6 +6,12 @@ transpose; over prime fields it degenerates to the plain transpose.
 Zero-dimension matrices (n x 0, 0 x m) are first class: they arise as
 the factors of a rank-0 matrix and their products are zero matrices of
 the appropriate shape.
+
+Ranks, factorizations, kernels and inverses all go through `rref`, which
+hands the elimination to the domain's exact kernel
+(`ScalarDomain.row_reduce`): fraction-free Gauss-Jordan on Gaussian
+integers for Q(i), Gauss-Jordan on ints mod p for F_p.  The RREF is
+unique, so the kernel choice never changes a result.
 """
 
 from __future__ import annotations
@@ -169,34 +175,14 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def rref(a: Matrix):
     """Reduced row echelon form with first-nonzero pivoting.
 
-    Exact arithmetic makes pivot choice correctness-neutral, so the
-    deterministic scan keeps results reproducible.  Returns the RREF and
-    the tuple of pivot columns.
+    Returns the RREF and the tuple of pivot columns.  The elimination is
+    the domain's exact kernel, `a.domain.row_reduce`: fraction-free
+    Gauss-Jordan on Gaussian integers over Q(i), plain ints mod p over
+    F_p.  The RREF is unique and the pivot scan is fixed, so the result
+    is the one any exact Gauss-Jordan gives.
     """
-    m = [list(a.row(i)) for i in range(a.rows)]
-    pivots = []
-    r = 0
-    for c in range(a.cols):
-        pivot_row = None
-        for i in range(r, a.rows):
-            if not m[i][c].is_zero():
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = m[r][c].inv()
-        m[r] = [inv * v for v in m[r]]
-        for i in range(a.rows):
-            if i != r and not m[i][c].is_zero():
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == a.rows:
-            break
-    flat = [v for row in m for v in row]
-    return Matrix(a.rows, a.cols, a.domain, flat), tuple(pivots)
+    reduced, pivots = a.domain.row_reduce([a.row(i) for i in range(a.rows)])
+    return Matrix(a.rows, a.cols, a.domain, [v for row in reduced for v in row]), pivots
 
 
 def rank(a: Matrix) -> int:

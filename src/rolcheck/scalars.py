@@ -109,13 +109,17 @@ class GaussianRational:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return GaussianRational._raw(
+            self.re_num * other.den - other.re_num * self.den,
+            self.im_num * other.den - other.im_num * self.den,
+            self.den * other.den,
+        )
 
     def __rsub__(self, other):
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerced(other)
@@ -288,7 +292,10 @@ def scalar_inv(x):
 def _parse_fraction(text):
     if not _FRACTION_RE.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 class ScalarDomain:
@@ -320,6 +327,15 @@ class ScalarDomain:
 
     def sample_coefficient(self, rng):
         """Random combination coefficient: numerator in [-5, 5], denominator in {1, 2, 3}."""
+        raise NotImplementedError
+
+    def row_reduce(self, rows):
+        """Reduced row echelon form of equal-length rows of elements.
+
+        Pivots are chosen first-nonzero, scanning columns left to right and
+        rows top to bottom.  Returns (reduced rows as lists, pivot columns
+        as a tuple).  The RREF of a matrix is unique, so every exact kernel
+        returns the same rows."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -388,6 +404,65 @@ class GaussianRationalDomain(ScalarDomain):
     def sample_coefficient(self, rng):
         return GaussianRational(_sample_fraction(rng))
 
+    def row_reduce(self, rows):
+        """Fraction-free Gauss-Jordan over the Gaussian integers (Bareiss).
+
+        Each row is scaled to Gaussian integers.  For a new pivot q in row r,
+        with previous pivot p (1 at the start), every other row x becomes
+        (q x - f y) / p, where y is row r and f is x's entry in the pivot
+        column.  Every entry then stays a minor of the scaled input, so the
+        division is exact and the numbers stay as small as those minors
+        (Bareiss, Math. Comp. 1968).  The update must reach every row but r,
+        also rows with f = 0, or later divisions are no longer exact.  Last,
+        each pivot row is divided by its pivot."""
+        re_rows, im_rows = [], []
+        for row in rows:
+            den = 1
+            for z in row:
+                den = den * z.den // math.gcd(den, z.den)
+            re_rows.append([z.re_num * (den // z.den) for z in row])
+            im_rows.append([z.im_num * (den // z.den) for z in row])
+        nrows = len(rows)
+        ncols = len(rows[0]) if nrows else 0
+        pivots = []
+        pr, pi, norm = 1, 0, 1  # previous pivot and its norm
+        for c in range(ncols):
+            r = len(pivots)
+            k = next((k for k in range(r, nrows) if re_rows[k][c] or im_rows[k][c]), None)
+            if k is None:
+                continue
+            re_rows[r], re_rows[k] = re_rows[k], re_rows[r]
+            im_rows[r], im_rows[k] = im_rows[k], im_rows[r]
+            yr, yi = re_rows[r], im_rows[r]
+            qr, qi = yr[c], yi[c]
+            for i in range(nrows):
+                if i == r:
+                    continue
+                xr, xi = re_rows[i], im_rows[i]
+                fr, fi = xr[c], xi[c]
+                start = pivots[i] if i < r else c
+                for j in range(start, ncols):
+                    ar = qr * xr[j] - qi * xi[j] - fr * yr[j] + fi * yi[j]
+                    ai = qr * xi[j] + qi * xr[j] - fr * yi[j] - fi * yr[j]
+                    xr[j] = (ar * pr + ai * pi) // norm
+                    xi[j] = (ai * pr - ar * pi) // norm
+            pivots.append(c)
+            pr, pi, norm = qr, qi, qr * qr + qi * qi
+            if len(pivots) == nrows:
+                break
+        raw = GaussianRational._raw
+        zero = raw(0, 0, 1)
+        out = []
+        for t, (xr, xi) in enumerate(zip(re_rows, im_rows)):
+            if t >= len(pivots):
+                out.append([zero] * ncols)
+                continue
+            dr, di = xr[pivots[t]], xi[pivots[t]]
+            dn = dr * dr + di * di
+            out.append([raw(a * dr + b * di, b * dr - a * di, dn) if a or b else zero
+                        for a, b in zip(xr, xi)])
+        return out, tuple(pivots)
+
     def __eq__(self, other):
         return isinstance(other, GaussianRationalDomain)
 
@@ -437,6 +512,31 @@ class PrimeFieldDomain(ScalarDomain):
         num = rng.randint(-5, 5)
         den = rng.choice([d for d in (1, 2, 3) if d % self.p != 0])
         return PrimeFieldElement(num, self.p) / PrimeFieldElement(den, self.p)
+
+    def row_reduce(self, rows):
+        """Gauss-Jordan on plain ints mod p, one modular inverse per pivot;
+        elements are built only for the result, one per distinct value."""
+        p = self.p
+        m = [[z.value for z in row] for row in rows]
+        ncols = len(m[0]) if m else 0
+        pivots = []
+        for c in range(ncols):
+            r = len(pivots)
+            k = next((k for k in range(r, len(m)) if m[k][c]), None)
+            if k is None:
+                continue
+            m[r], m[k] = m[k], m[r]
+            inv = pow(m[r][c], -1, p)
+            y = m[r] = [v * inv % p for v in m[r]]
+            for i, x in enumerate(m):
+                f = x[c]
+                if f and i != r:
+                    m[i] = [(a - f * b) % p for a, b in zip(x, y)]
+            pivots.append(c)
+            if len(pivots) == len(m):
+                break
+        element = {v: PrimeFieldElement(v, p) for v in {v for row in m for v in row}}
+        return [[element[v] for v in row] for row in m], tuple(pivots)
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p

@@ -193,8 +193,11 @@ def _one_by_one(**fields):
     _one_by_one(rows=1.0),
     _one_by_one(domain={"prime_field": True}),
     _one_by_one(domain={"prime_field": "5"}),
+    _one_by_one(entries=[["1/0"]]),
+    _one_by_one(entries=[["1/0i"]]),
 ], ids=["int-entry", "null-entry", "string-entries", "string-row", "bool-rows",
-        "bool-cols", "float-rows", "bool-prime", "string-prime"])
+        "bool-cols", "float-rows", "bool-prime", "string-prime", "zero-den",
+        "zero-den-imag"])
 def test_malformed_matrix_file_exits_3(tmp_path, obj):
     f = tmp_path / "bad.json"
     write_matrix(f, obj)

@@ -1,0 +1,99 @@
+"""The exact row-reduction kernels behind matrices.rref against the generic
+Gauss-Jordan reference in rref_reference.py: same RREF, same pivots."""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rolcheck.peirce
+from rolcheck import (
+    GAUSSIAN_RATIONAL,
+    GaussianRational,
+    Matrix,
+    PrimeFieldElement,
+    prime_field,
+    rref,
+)
+from rolcheck.harness import random_matrix_of_rank
+from rolcheck.peirce import matrix_equation_basis
+from rref_reference import rref as reference_rref
+
+G = GAUSSIAN_RATIONAL
+DOMAINS = (G, prime_field(5), prime_field(7))
+
+
+def _scalars(domain):
+    if domain == G:
+        frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+        return st.builds(GaussianRational, frac, st.one_of(st.just(0), frac))
+    return st.integers(0, domain.p - 1).map(lambda v: PrimeFieldElement(v, domain.p))
+
+
+@st.composite
+def _matrices(draw):
+    """Small matrices with many zeros, duplicated and scaled rows, or a
+    low-rank product; Q(i) entries mix real and non-real values and
+    denominators 1 to 6."""
+    domain = draw(st.sampled_from(DOMAINS))
+    rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entry = st.one_of(st.just(domain.zero()), _scalars(domain))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, 3))
+        u = Matrix(rows, k, domain, draw(st.lists(entry, min_size=rows * k, max_size=rows * k)))
+        v = Matrix(k, cols, domain, draw(st.lists(entry, min_size=k * cols, max_size=k * cols)))
+        m = [list((u @ v).row(i)) for i in range(rows)]
+    else:
+        m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for _ in range(draw(st.integers(0, 3)) if m else 0):
+        src, scale = draw(st.sampled_from(m)), draw(_scalars(domain))
+        m.insert(draw(st.integers(0, len(m))), [scale * x for x in src])
+    return Matrix(len(m), cols, domain, [x for row in m for x in row])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_matches_reference(a):
+    assert rref(a) == reference_rref(a)
+
+
+def _edge_cases():
+    for domain in DOMAINS:
+        one = domain.one()
+        yield Matrix.zeros(0, 4, domain)
+        yield Matrix.zeros(3, 0, domain)
+        yield Matrix.zeros(0, 0, domain)
+        yield Matrix.zeros(3, 4, domain)
+        yield Matrix.identity(3, domain)
+        yield Matrix(3, 2, domain, [one, one + one] * 3)  # rank 1, equal rows
+    yield Matrix.from_rows([["1/2i", "0", "1/3"], ["1/6i", "2/5+1i", "7/4"]], G)
+
+
+@pytest.mark.parametrize("a", list(_edge_cases()), ids=repr)
+def test_rref_edge_cases(a):
+    reduced, pivots = rref(a)
+    assert (reduced, pivots) == reference_rref(a)
+    assert reduced.shape == a.shape
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(DOMAINS), st.integers(1, 4), st.integers(0, 4), st.integers(0, 10_000))
+def test_rref_matches_reference_on_weight_systems(domain, n, rank_b, seed):
+    """The Kronecker systems matrix_equation_basis solves for the commutant
+    weight and for the four-way weight."""
+    rng = random.Random(seed)
+    b = random_matrix_of_rank(domain, n, n, min(rank_b, n), rng)
+    ab = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng) @ b
+    systems = []
+    real = rolcheck.peirce.nullspace_basis
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rolcheck.peirce, "nullspace_basis",
+                      lambda m: systems.append(m) or real(m))
+        matrix_equation_basis(n, domain, commute_with=(b, b.star()))
+        matrix_equation_basis(n, domain, commute_with=(b, b.star()),
+                              left_zero=(ab.star(),), right_zero=(ab,))
+    assert [s.shape for s in systems] == [(2 * n * n, n * n), (4 * n * n, n * n)]
+    for system in systems:
+        assert rref(system) == reference_rref(system)

@@ -57,6 +57,14 @@ def test_conj_additive_multiplicative(x, y):
     assert scalar_conj(x * y) == scalar_conj(x) * scalar_conj(y)
 
 
+@given(gaussians, gaussians, fractions)
+def test_subtraction_matches_adding_the_negation(x, y, q):
+    for diff, expected in ((x - y, x + (-y)), (q - x, (-x) + q), (x - q, x + (-q))):
+        assert diff == expected
+        assert (diff.re_num, diff.im_num, diff.den) == (expected.re_num, expected.im_num,
+                                                        expected.den)
+
+
 @given(gaussians)
 def test_norm_real_nonnegative(z):
     n = z * scalar_conj(z)
@@ -143,7 +151,8 @@ def test_gaussian_format_canonical_roundtrip():
         assert G.format_scalar(G.parse(s)) == s
 
 
-@pytest.mark.parametrize("bad", ["", "1+", "i2", "1//2", "1.5", "2+3", "x", "1/2 + 3i"])
+@pytest.mark.parametrize("bad", ["", "1+", "i2", "1//2", "1.5", "2+3", "x", "1/2 + 3i",
+                                 "1/0", "1/0i", "2-1/0i"])
 def test_gaussian_parse_rejects(bad):
     with pytest.raises(ValueError):
         G.parse(bad)
