@@ -417,9 +417,7 @@ class GaussianRationalDomain(ScalarDomain):
         each pivot row is divided by its pivot."""
         re_rows, im_rows = [], []
         for row in rows:
-            den = 1
-            for z in row:
-                den = den * z.den // math.gcd(den, z.den)
+            den = math.lcm(*(z.den for z in row))
             re_rows.append([z.re_num * (den // z.den) for z in row])
             im_rows.append([z.im_num * (den // z.den) for z in row])
         nrows = len(rows)
