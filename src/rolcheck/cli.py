@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 from .errors import (
     HypothesisNotMet,
@@ -131,19 +132,23 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rolcheck", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_mp = sub.add_parser("mp", help="Moore-Penrose inverse of a matrix file")
-    p_mp.add_argument("--in", dest="infile", required=True)
-    p_mp.add_argument("--json", dest="json_out", default=None)
-
-    p_gi = sub.add_parser("groupinv", help="group inverse of a square matrix file")
-    p_gi.add_argument("--in", dest="infile", required=True)
-    p_gi.add_argument("--json", dest="json_out", default=None)
+    for name, help_text, fn, error, failure in (
+        ("mp", "Moore-Penrose inverse of a matrix file",
+         mp_inverse, NoMPInverse, "no Moore-Penrose inverse"),
+        ("groupinv", "group inverse of a square matrix file",
+         group_inverse, NotGroupInvertible, "not group invertible"),
+    ):
+        p_inv = sub.add_parser(name, help=help_text)
+        p_inv.add_argument("--in", dest="infile", required=True)
+        p_inv.add_argument("--json", dest="json_out", default=None)
+        p_inv.set_defaults(run=partial(_cmd_inverse, fn, error, failure))
 
     p_kc = sub.add_parser("kcheck", help="K-inverse membership test")
     p_kc.add_argument("--a", required=True)
     p_kc.add_argument("--x", required=True)
     p_kc.add_argument("--k", required=True, help="comma-separated subset of 1,2,3,4")
     p_kc.add_argument("--json", dest="json_out", default=None)
+    p_kc.set_defaults(run=_cmd_kcheck)
 
     p_law = sub.add_parser("law", help="evaluate or search a reverse order law")
     law_sub = p_law.add_subparsers(dest="law_command", required=True)
@@ -160,6 +165,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--falsify-samples", type=int, default=500)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json", dest="json_out", default=None)
+    p_check.set_defaults(run=_cmd_law_check)
 
     p_search = law_sub.add_parser("search", help="search for a counterexample")
     p_search.add_argument("--law", required=True)
@@ -167,33 +173,23 @@ def build_parser() -> _Parser:
                           help="statement to falsify; omit to hunt equivalence violations")
     p_search.add_argument("--budget", type=int, default=100)
     _add_common(p_search)
+    p_search.set_defaults(run=_cmd_law_search)
 
     p_suite = sub.add_parser("suite", help="randomized equivalence suite for one law")
     p_suite.add_argument("--law", required=True)
     p_suite.add_argument("--trials", type=int, default=100)
     _add_common(p_suite)
+    p_suite.set_defaults(run=_cmd_suite)
 
     return parser
 
 
-def _cmd_mp(args) -> int:
+def _cmd_inverse(fn, error, failure, args) -> int:
     a = _load_matrix(args.infile)
     try:
-        result = mp_inverse(a)
-    except NoMPInverse as exc:
-        print(f"no Moore-Penrose inverse: {exc}", file=sys.stderr)
-        return EXIT_FOUND
-    _print_matrix(result)
-    _emit_json(matrix_to_json(result), args.json_out)
-    return EXIT_OK
-
-
-def _cmd_groupinv(args) -> int:
-    a = _load_matrix(args.infile)
-    try:
-        result = group_inverse(a)
-    except NotGroupInvertible as exc:
-        print(f"not group invertible: {exc}", file=sys.stderr)
+        result = fn(a)
+    except error as exc:
+        print(f"{failure}: {exc}", file=sys.stderr)
         return EXIT_FOUND
     _print_matrix(result)
     _emit_json(matrix_to_json(result), args.json_out)
@@ -320,26 +316,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "mp":
-            return _cmd_mp(args)
-        if args.command == "groupinv":
-            return _cmd_groupinv(args)
-        if args.command == "kcheck":
-            return _cmd_kcheck(args)
-        if args.command == "law":
-            if args.law_command == "check":
-                return _cmd_law_check(args)
-            return _cmd_law_search(args)
-        if args.command == "suite":
-            return _cmd_suite(args)
+        return args.run(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError, InvalidSpec) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RolcheckError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    parser.error(f"unknown command {args.command!r}")
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

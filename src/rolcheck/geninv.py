@@ -5,11 +5,16 @@ Penrose equations
 
     (1) a = aba    (2) b = bab    (3) (ab)* = ab    (4) (ba)* = ba.
 
-Over the Gaussian rationals it always exists (the base field is formally
-real, so rank(a* a) = rank(a a*) = rank(a) is automatic); over a prime
-field it can fail, which is detected up front.  The group inverse is the
-commuting {1,2}-inverse of a square matrix; it exists iff
-rank(a^2) = rank(a).
+Existence and construction share one object.  For a full-rank
+factorization a = f g of rank r, MacDuffee's formula
+
+    a+ = g* (f* a g*)^-1 f*,    core f* a g* = (f* f)(g g*)  (r x r),
+
+holds in any ring with involution where the core is invertible, and a+
+exists exactly then.  Over the Gaussian rationals the core is always
+invertible (the base field is formally real); over a prime field it can
+be singular.  The group inverse is the commuting {1,2}-inverse of a
+square matrix; it exists iff rank(a^2) = rank(a).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from dataclasses import dataclass
 
 from .errors import DimensionMismatch, NoMPInverse, NotGroupInvertible, Singular
 from .matrices import Matrix, inverse, rank, rank_factorization
-from .scalars import PrimeFieldDomain
 
 
 @dataclass(frozen=True)
@@ -38,53 +42,60 @@ class PenroseReport:
         return self.eq1_holds and self.eq2_holds and self.eq3_holds and self.eq4_holds
 
 
-def penrose_residuals(a: Matrix, b: Matrix) -> PenroseReport:
-    """Evaluate all four Penrose equations exactly."""
+def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
+    """Exact truth of Penrose equation (j) for each j in ks, in order.
+
+    Forms only the products the requested equations use: a b for (1)
+    and (3), b a for (2) and (4)."""
     if b.rows != a.cols or b.cols != a.rows:
         raise DimensionMismatch(f"candidate {b.shape} does not fit {a.shape}")
     a._same_domain(b)
-    ab = a @ b
-    ba = b @ a
-    return PenroseReport(
-        eq1_holds=(ab @ a == a),
-        eq2_holds=(ba @ b == b),
-        eq3_holds=ab.is_hermitian(),
-        eq4_holds=ba.is_hermitian(),
-    )
+    ab = a @ b if 1 in ks or 3 in ks else None
+    ba = b @ a if 2 in ks or 4 in ks else None
+    equations = {
+        1: lambda: ab @ a == a,
+        2: lambda: ba @ b == b,
+        3: lambda: ab.is_hermitian(),
+        4: lambda: ba.is_hermitian(),
+    }
+    return {k: equations[k]() for k in sorted(ks)}
+
+
+def penrose_residuals(a: Matrix, b: Matrix) -> PenroseReport:
+    """Evaluate all four Penrose equations exactly."""
+    return PenroseReport(*penrose_equations(a, b, (1, 2, 3, 4)).values())
+
+
+def _macduffee(a: Matrix):
+    """Rank factorization a = f g and the r x r core f* a g* = (f* f)(g g*)."""
+    fact = rank_factorization(a)
+    f, g = fact.f, fact.g
+    return fact, (f.star() @ f) @ (g @ g.star())
 
 
 def mp_exists(a: Matrix) -> bool:
-    """True iff rank(a) = rank(a* a) = rank(a a*).
+    """True iff the core f* a g* has full rank r = rank(a).
 
-    Equivalent to the full-rank factors f, g of a having invertible
-    gram matrices f* f and g g*, which is what the inversion formula
-    needs."""
-    r = rank(a)
-    return rank(a.star() @ a) == r and rank(a @ a.star()) == r
-
-
-def _is_prime_field(a: Matrix) -> bool:
-    return isinstance(a.domain, PrimeFieldDomain)
+    g has full row rank and f full column rank, so rank(a* a) =
+    rank(f* f) and rank(a a*) = rank(g g*); the core has rank r exactly
+    when both do, which is the rank criterion
+    rank(a) = rank(a* a) = rank(a a*)."""
+    fact, core = _macduffee(a)
+    return rank(core) == fact.rank
 
 
 def mp_inverse(a: Matrix) -> Matrix:
-    """Moore-Penrose inverse via the full-rank factorization a = f g:
+    """Moore-Penrose inverse by MacDuffee's formula a+ = g* (f* a g*)^-1 f*.
 
-        a+ = g* (g g*)^-1 (f* f)^-1 f*
-
-    For a = 0 the factors are empty and the formula collapses to the
-    zero matrix of transposed shape.  The existence test runs only over
-    prime fields; over Q(i) it provably always passes."""
-    if _is_prime_field(a) and not mp_exists(a):
-        raise NoMPInverse(f"rank of a* a or a a* drops below rank(a) over {a.domain.name}")
-    fact = rank_factorization(a)
-    f, g = fact.f, fact.g
+    A singular core (possible over prime fields only) raises
+    NoMPInverse.  For a = 0 the factors are empty and the formula
+    collapses to the zero matrix of transposed shape."""
+    fact, core = _macduffee(a)
     try:
-        gram_g = inverse(g @ g.star())
-        gram_f = inverse(f.star() @ f)
-    except Singular as exc:  # only reachable over prime fields
-        raise NoMPInverse(str(exc)) from exc
-    return g.star() @ gram_g @ gram_f @ f.star()
+        core_inv = inverse(core)
+    except Singular as exc:
+        raise NoMPInverse(f"core f* a g* is singular over {a.domain.name}: {exc}") from exc
+    return fact.g.star() @ core_inv @ fact.f.star()
 
 
 def group_inverse(a: Matrix) -> Matrix:
@@ -106,7 +117,7 @@ def mp_via_star_group(a: Matrix) -> Matrix:
 
     Must agree exactly with mp_inverse by uniqueness of the
     Moore-Penrose inverse."""
-    if _is_prime_field(a) and not mp_exists(a):
+    if not mp_exists(a):
         raise NoMPInverse(f"no Moore-Penrose inverse over {a.domain.name}")
     try:
         return group_inverse(a.star() @ a) @ a.star()

@@ -23,6 +23,7 @@ from .laws import (
     EquivalenceReport,
     LawContext,
     LawId,
+    check_draw_counts,
     check_equivalence,
     inclusion_statement_sampled,
     law_statement,
@@ -119,10 +120,8 @@ def gen_instance(spec: InstanceSpec, law: LawId | None = None):
         c = Matrix.identity(n, spec.domain).scale(lam)
     elif law is not None and LAWS[law].weight_fixes_ab:
         c = _constrained_weight(a if side == "a" else b, a @ b, rng)
-    elif side == "a":
-        c = sample_commutant(a, rng.getrandbits(32))
-    elif side == "b":
-        c = sample_commutant(b, rng.getrandbits(32))
+    elif side in ("a", "b"):
+        c = sample_commutant(a if side == "a" else b, rng.getrandbits(32))
     else:
         c = Matrix.identity(n, spec.domain)
     return a, b, c
@@ -214,6 +213,7 @@ def run_suite(
     hypothesis skips, never silently dropped."""
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
+    check_draw_counts(samples, falsify_samples)
     start = time.perf_counter()
     equivalent = 0
     inconclusive = 0
@@ -264,6 +264,7 @@ def search_counterexample(
     found.  Returns a serialized witness dict or None."""
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
+    check_draw_counts(samples, falsify_samples)
     if stmt is not None and stmt not in LAWS[law].statements:
         raise InvalidSpec(f"law {law} has no statement {stmt!r}")
     for trial, sample_seed, ctx in _trials(law, spec, budget):

@@ -561,6 +561,14 @@ class EquivalenceReport:
         return out
 
 
+def check_draw_counts(samples: int, falsify_samples: int) -> None:
+    """Reject a sampling budget below one draw: it would confirm or
+    falsify nothing, and whether it is reached depends on the data."""
+    for name, value in (("samples", samples), ("falsify_samples", falsify_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def check_equivalence(
     law: LawId, ctx: LawContext, samples: int = 200, seed: int = 0,
     falsify_samples: int = 500,
@@ -574,6 +582,7 @@ def check_equivalence(
     because the failing direction is existence-based.  A zero target
     product (e.g. ab = 0) makes every membership trivial; such instances
     are reported as equivalent with a note."""
+    check_draw_counts(samples, falsify_samples)
     try:
         check_hypotheses(law, ctx)
     except HypothesisNotMet as exc:

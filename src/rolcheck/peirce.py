@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, EmptyK, NotIdempotent
-from .geninv import mp_inverse, penrose_residuals
+from .geninv import mp_inverse, penrose_equations
 from .matrices import Matrix, nullspace_basis
 
 
@@ -70,7 +70,7 @@ def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
         raise EmptyK("K must name at least one Penrose equation")
     if not ks <= {1, 2, 3, 4}:
         raise ValueError(f"K must be a subset of {{1, 2, 3, 4}}, got {sorted(ks)}")
-    return penrose_residuals(a, x).holds(ks)
+    return all(penrose_equations(a, x, ks).values())
 
 
 def sample_13_inverse(a: Matrix, x: Matrix) -> Matrix:
@@ -157,34 +157,27 @@ def structured_13_blocks(ctx: ParamContext13, x_blocks: PeirceBlocks) -> PeirceB
 def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):
     """Basis of {c : c m = m c, l c = 0, c r = 0 for the given matrices}.
 
-    The unknown c is vectorized by column stacking (c[u][v] sits at index
-    v*n + u), the stacked linear system is solved by nullspace_basis, and
-    each kernel vector is folded back into a matrix.  Fixed ordering keeps
-    the basis reproducible under a seed."""
+    Each condition is one block of n*n equations c right - left c = 0
+    (right = left = m, or a missing side for l and r).  The unknown c is
+    vectorized by column stacking (c[u][v] sits at index v*n + u), the
+    stacked linear system is solved by nullspace_basis, and each kernel
+    vector is folded back into a matrix.  Fixed ordering keeps the basis
+    reproducible under a seed."""
     size = n * n
     zero = domain.zero()
+    blocks = [(m, m) for m in commute_with]
+    blocks += [(None, l) for l in left_zero]
+    blocks += [(r, None) for r in right_zero]
     rows = []
-    for m in commute_with:
+    for right, left in blocks:
         for j in range(n):
             for i in range(n):
                 row = [zero] * size
                 for t in range(n):
-                    row[t * n + i] = row[t * n + i] + m[t, j]
-                    row[j * n + t] = row[j * n + t] - m[i, t]
-                rows.append(row)
-    for l in left_zero:
-        for j in range(n):
-            for i in range(n):
-                row = [zero] * size
-                for t in range(n):
-                    row[j * n + t] = row[j * n + t] + l[i, t]
-                rows.append(row)
-    for rmat in right_zero:
-        for j in range(n):
-            for i in range(n):
-                row = [zero] * size
-                for t in range(n):
-                    row[t * n + i] = row[t * n + i] + rmat[t, j]
+                    if right is not None:
+                        row[t * n + i] = row[t * n + i] + right[t, j]
+                    if left is not None:
+                        row[j * n + t] = row[j * n + t] - left[i, t]
                 rows.append(row)
     system = Matrix(len(rows), size, domain, [v for row in rows for v in row])
     basis = []

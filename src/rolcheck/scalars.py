@@ -81,9 +81,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re_num == 0 and self.im_num == 0
 
-    def is_real(self) -> bool:
-        return self.im_num == 0
-
     def _coerced(self, other):
         if isinstance(other, GaussianRational):
             return other

@@ -218,3 +218,24 @@ def test_prime_field_suite_cli(tmp_path):
     assert report["domain"] == {"prime_field": 5}
     assert report["violations"] == []
     assert report["hypothesis_skips"] > 0
+
+
+@pytest.mark.parametrize("law", ["T23", "T32"])
+@pytest.mark.parametrize("flag", ["--samples", "--falsify-samples"])
+@pytest.mark.parametrize("command", ["suite", "law search", "law check"])
+def test_zero_draw_count_exits_3_before_any_trial(tmp_path, capsys, command, law, flag):
+    from rolcheck.cli import main
+
+    if command == "law check":
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_matrix(a, IDENTITY2)
+        write_matrix(b, IDENTITY2)
+        argv = ["law", "check", "--law", law, "--a", str(a), "--b", str(b)]
+    else:
+        argv = [*command.split(), "--law", law, "--size", "2", "--weight", "identity",
+                "--seed", "1", "--trials" if command == "suite" else "--budget", "3"]
+    assert main([*argv, flag, "0"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.strip().splitlines()) == 1, err
+    assert flag.lstrip("-").replace("-", "_") + " must be >= 1" in err
