@@ -69,13 +69,13 @@ from .peirce import (
 from .laws import (
     EQUIVALENT,
     HYPOTHESIS_NOT_MET,
-    INCONCLUSIVE,
     VIOLATION,
     EquivalenceReport,
     LawContext,
     LawId,
     SampledVerdict,
     check_equivalence,
+    inclusion_holds,
     inclusion_statement_sampled,
     law_context,
     law_statement,

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: mp, groupinv, kcheck, law check, law search, suite.
+Every statement, set inclusions included, is decided exactly;
+--samples and --falsify-samples only budget the random search for a
+witness against a set inclusion.
 Exit codes: 0 verified / nothing found, 1 counterexample or negative
-result, 2 inconclusive (sampling budget exhausted on an existence
-direction), 3 malformed input.
+result, 3 malformed input.
 """
 
 from __future__ import annotations
@@ -23,13 +25,10 @@ from .errors import (
 from .geninv import group_inverse, mp_inverse, penrose_residuals
 from .harness import InstanceSpec, run_suite, search_counterexample
 from .laws import (
-    INCONCLUSIVE,
-    LAWS,
     VIOLATION,
     LawContext,
     LawId,
     check_equivalence,
-    inclusion_statement_sampled,
     law_statement,
 )
 from .matrices import Matrix, matrix_from_json, matrix_to_json
@@ -38,13 +37,14 @@ from .scalars import GAUSSIAN_RATIONAL, prime_field
 
 EXIT_OK = 0
 EXIT_FOUND = 1
-EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+
+_SAMPLES_HELP = "draws of the witness search when the exact statements hold (>= 1)"
+_FALSIFY_HELP = "draws of the witness search when the exact statements fail (>= 1)"
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on bad flags; 2 means "inconclusive" here,
-    # so input errors are remapped to 3.
+    # argparse exits with 2 on bad flags; every input error exits 3 here.
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
@@ -107,8 +107,8 @@ def _add_common(parser):
         default="commutant",
         help="identity | scalar | scalar:<value> | commutant",
     )
-    parser.add_argument("--samples", type=int, default=200)
-    parser.add_argument("--falsify-samples", type=int, default=500)
+    parser.add_argument("--samples", type=int, default=200, help=_SAMPLES_HELP)
+    parser.add_argument("--falsify-samples", type=int, default=500, help=_FALSIFY_HELP)
 
 
 def _build_spec(args, domain) -> InstanceSpec:
@@ -161,8 +161,8 @@ def build_parser() -> _Parser:
     p_check.add_argument("--lambda", dest="lam", default=None,
                          help="scalar weight (builds c = lambda * identity)")
     p_check.add_argument("--stmt", default=None)
-    p_check.add_argument("--samples", type=int, default=200)
-    p_check.add_argument("--falsify-samples", type=int, default=500)
+    p_check.add_argument("--samples", type=int, default=200, help=_SAMPLES_HELP)
+    p_check.add_argument("--falsify-samples", type=int, default=500, help=_FALSIFY_HELP)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json", dest="json_out", default=None)
     p_check.set_defaults(run=_cmd_law_check)
@@ -238,13 +238,8 @@ def _cmd_law_check(args) -> int:
         return EXIT_FOUND
     if args.stmt is not None:
         try:
-            if LAWS[law].is_sampled(args.stmt):
-                verdict = inclusion_statement_sampled(law, ctx, args.samples, args.seed)
-                value = verdict.all_passed
-                print(f"{law} ({args.stmt}) sampled over {verdict.tested} draws: {value}")
-            else:
-                value = law_statement(law, args.stmt, ctx)
-                print(f"{law} ({args.stmt}): {value}")
+            value = law_statement(law, args.stmt, ctx)
+            print(f"{law} ({args.stmt}): {value}")
         except HypothesisNotMet as exc:
             print(str(exc))
             _emit_json({"law": law.value, "error": str(exc)}, args.json_out)
@@ -266,8 +261,6 @@ def _cmd_law_check(args) -> int:
     _emit_json(report.to_json_dict(), args.json_out)
     if report.verdict == VIOLATION:
         return EXIT_FOUND
-    if report.verdict == INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 
@@ -301,14 +294,12 @@ def _cmd_suite(args) -> int:
     )
     print(
         f"{law}: trials={result.trials} equivalent={result.equivalent} "
-        f"violations={len(result.violations)} inconclusive={result.inconclusive} "
+        f"violations={len(result.violations)} "
         f"skips={result.hypothesis_skips} ({result.elapsed:.2f}s)"
     )
     _emit_json(result.to_json_dict(), args.json_out)
     if result.violations:
         return EXIT_FOUND
-    if result.inconclusive:
-        return EXIT_INCONCLUSIVE
     return EXIT_OK
 
 

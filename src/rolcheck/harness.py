@@ -17,7 +17,6 @@ import random
 from .errors import HypothesisNotMet, InvalidSpec, NoMPInverse
 from .laws import (
     EQUIVALENT,
-    INCONCLUSIVE,
     LAWS,
     VIOLATION,
     EquivalenceReport,
@@ -25,7 +24,6 @@ from .laws import (
     LawId,
     check_draw_counts,
     check_equivalence,
-    inclusion_statement_sampled,
     law_statement,
 )
 from .matrices import Matrix, matrix_to_json, domain_to_json, random_matrix, rank
@@ -131,14 +129,13 @@ def gen_instance(spec: InstanceSpec, law: LawId | None = None):
 class SuiteResult:
     """Aggregated outcome of check_equivalence over generated instances.
 
-    equivalent + len(violations) + inconclusive + hypothesis_skips == trials.
+    equivalent + len(violations) + hypothesis_skips == trials.
     """
 
     law: LawId
     trials: int
     equivalent: int
     violations: list
-    inconclusive: int
     hypothesis_skips: int
     seed: int
     domain_tag: object
@@ -153,7 +150,9 @@ class SuiteResult:
             "trials": self.trials,
             "equivalent": self.equivalent,
             "violations": self.violations,
-            "inconclusive": self.inconclusive,
+            # Every set inclusion is decided exactly, so no trial is left
+            # undecided; the key stays so that reports keep their shape.
+            "inconclusive": 0,
             "hypothesis_skips": self.hypothesis_skips,
             "seed": self.seed,
             "domain": self.domain_tag,
@@ -216,7 +215,6 @@ def run_suite(
     check_draw_counts(samples, falsify_samples)
     start = time.perf_counter()
     equivalent = 0
-    inconclusive = 0
     skips = 0
     violations = []
     for trial, sample_seed, ctx in _trials(law, spec, trials):
@@ -228,8 +226,6 @@ def run_suite(
         )
         if report.verdict == EQUIVALENT:
             equivalent += 1
-        elif report.verdict == INCONCLUSIVE:
-            inconclusive += 1
         elif report.verdict == VIOLATION:
             violations.append(_violation(trial, ctx, report))
         else:
@@ -239,7 +235,6 @@ def run_suite(
         trials=trials,
         equivalent=equivalent,
         violations=violations,
-        inconclusive=inconclusive,
         hypothesis_skips=skips,
         seed=spec.seed,
         domain_tag=domain_to_json(spec.domain),
@@ -259,9 +254,11 @@ def search_counterexample(
     """Search generated instances for a counterexample.
 
     With `stmt` given, looks for an instance where that single statement
-    is false (hypothesis-satisfying instances only).  Without it, looks
-    for an equivalence violation, which for the theorems should never be
-    found.  Returns a serialized witness dict or None."""
+    is false (hypothesis-satisfying instances only); every statement,
+    set inclusions included, is decided exactly.  Without it, looks for
+    an equivalence violation, which for the theorems should never be
+    found; `samples` and `falsify_samples` then budget the witness draws
+    of check_equivalence.  Returns a serialized witness dict or None."""
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
     check_draw_counts(samples, falsify_samples)
@@ -279,13 +276,9 @@ def search_counterexample(
                 return _violation(trial, ctx, report)
             continue
         try:
-            if LAWS[law].is_sampled(stmt):
-                verdict = inclusion_statement_sampled(law, ctx, falsify_samples, sample_seed)
-                value = None if verdict.all_passed else False
-            else:
-                value = law_statement(law, stmt, ctx)
+            value = law_statement(law, stmt, ctx)
         except HypothesisNotMet:
             continue
-        if value is False:
+        if not value:
             return _serialize_instance(trial, ctx, statement=stmt, value=False)
     return None

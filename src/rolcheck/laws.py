@@ -29,8 +29,17 @@ Law identifiers and their statement (i):
     T39       dual four-way with {1,4} and c b+ a+
 
 Everything the checker knows about a law (its commute side, further
-hypotheses, statements and sampled inclusion, and whether its weight must
+hypotheses, statements and set inclusion, and whether its weight must
 also fix ab) is one LawSpec entry of the LAWS registry below.
+
+A set inclusion is decided exactly.  Its K-inverses are the affine
+families a+ + (e - a+ a) Y (K = {1,3}) or a+ + Y (e - a a+) (K = {1,4})
+in a free parameter Y for a and Z for b, and the product, the target and
+is_k_inverse run on them as wordpoly.WordMatrix polynomials, so the
+membership is decided for all Y and Z at once.  Random draws of Y and Z
+only look for a witness, a concrete product outside the target's
+K-inverse set; when none turns up, the witness is taken from basis
+matrices (wordpoly.basis_points).
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .geninv import commutes_with_pair, mp_exists, mp_inverse
 from .matrices import Matrix, matrix_to_json, random_matrix
 from .peirce import is_k_inverse
 from .scalars import PrimeFieldDomain
+from .wordpoly import WordMatrix, basis_points
 
 
 class LawId(Enum):
@@ -72,7 +82,6 @@ class LawId(Enum):
 EQUIVALENT = "equivalent"
 VIOLATION = "violation"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
-INCONCLUSIVE = "inconclusive"
 
 
 class LawContext:
@@ -129,6 +138,14 @@ class LawContext:
     @cached_property
     def ab(self) -> Matrix:
         return self.a @ self.b
+
+    @cached_property
+    def cab(self) -> Matrix:
+        return self.c @ self.ab
+
+    @cached_property
+    def abc(self) -> Matrix:
+        return self.ab @ self.c
 
     @cached_property
     def ab_dag(self) -> Matrix:
@@ -227,7 +244,7 @@ def _t24_iii(ctx):
 
 
 def _t25_i(ctx):
-    return mp_inverse(ctx.c @ ctx.ab) == ctx.b_dag @ ctx.a_dag
+    return mp_inverse(ctx.cab) == ctx.b_dag @ ctx.a_dag
 
 
 def _t25_ii(ctx):
@@ -243,7 +260,7 @@ def _t25_iii(ctx):
 
 
 def _t26_i(ctx):
-    return mp_inverse(ctx.ab @ ctx.c) == ctx.b_dag @ ctx.a_dag
+    return mp_inverse(ctx.abc) == ctx.b_dag @ ctx.a_dag
 
 
 def _t26_ii(ctx):
@@ -315,7 +332,7 @@ def _c35_ii(ctx):
 
 
 def _t36_ii(ctx):
-    cab = ctx.c @ ctx.ab
+    cab = ctx.cab
     a_comp = ctx.a @ (ctx.e - ctx.p)
     return (
         is_k_inverse(cab, ctx.b_dag @ ctx.a_dag, {1, 3})
@@ -325,7 +342,7 @@ def _t36_ii(ctx):
 
 
 def _t37_ii(ctx):
-    abc = ctx.ab @ ctx.c
+    abc = ctx.abc
     b_comp = (ctx.e - ctx.s) @ ctx.b
     return (
         is_k_inverse(abc, ctx.b_dag @ ctx.a_dag, {1, 4})
@@ -367,8 +384,9 @@ def _t39_iv(ctx):
 
 @dataclass(frozen=True)
 class SampledStatement:
-    """A quantified statement: every product of sampled K-inverses of b
-    and a lies in the target's K-inverse set."""
+    """A quantified statement: every product of K-inverses of b and a
+    lies in the target's K-inverse set.  The product also runs on
+    WordMatrix parameters, so it may use only +, -, @ and star."""
 
     stmt: str
     ks: tuple  # K: (1, 3) or (1, 4)
@@ -403,8 +421,8 @@ _SIDE_HYPOTHESES = {
 _AB_MP = ("ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab))
 _Q_MP = ("q = a+ a+* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.q))
 _R_MP = ("r = b b* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.r))
-_CAB_MP = ("cab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.c @ ctx.ab))
-_ABC_MP = ("abc is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab @ ctx.c))
+_CAB_MP = ("cab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.cab))
+_ABC_MP = ("abc is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.abc))
 _A_COMP_MP = ("a(e - bb+) is Moore-Penrose invertible",
               lambda ctx: _mp_ok(ctx.a @ (ctx.e - ctx.p)))
 _B_COMP_MP = ("(e - a+a)b is Moore-Penrose invertible",
@@ -427,13 +445,13 @@ LAWS = {
     LawId.C35: LawSpec("b", (_B_COMP_MP,), _statements(None, _c35_ii), SampledStatement(
         "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
     LawId.T36: LawSpec("a", (), _statements(None, _t36_ii), SampledStatement(
-        "i", (1, 3), lambda ctx: ctx.c @ ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
+        "i", (1, 3), lambda ctx: ctx.cab, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
     LawId.T37: LawSpec("b", (), _statements(None, _t37_ii), SampledStatement(
-        "i", (1, 4), lambda ctx: ctx.ab @ ctx.c, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
+        "i", (1, 4), lambda ctx: ctx.abc, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
     LawId.T38: LawSpec(
         "a",
         (
-            ("cab = ab", lambda ctx: ctx.c @ ctx.ab == ctx.ab),
+            ("cab = ab", lambda ctx: ctx.cab == ctx.ab),
             ("c*ab = ab", lambda ctx: ctx.c_star @ ctx.ab == ctx.ab),
             _AB_MP,
             ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
@@ -448,7 +466,7 @@ LAWS = {
     LawId.T39: LawSpec(
         "b",
         (
-            ("abc = ab", lambda ctx: ctx.ab @ ctx.c == ctx.ab),
+            ("abc = ab", lambda ctx: ctx.abc == ctx.ab),
             ("abc* = ab", lambda ctx: ctx.ab @ ctx.c_star == ctx.ab),
             _AB_MP,
             ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
@@ -473,17 +491,39 @@ def check_hypotheses(law: LawId, ctx: LawContext):
 
 
 def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
-    """Exact truth of one algebraic statement of a law.
+    """Exact truth of one statement of a law.
 
-    Quantified (set-inclusion) statements are not evaluable here; use
-    inclusion_statement_sampled for those."""
+    A set-inclusion statement is decided for every pair of K-inverses at
+    once; see inclusion_holds."""
     check_hypotheses(law, ctx)
-    statements = LAWS[law].statements
-    if stmt not in statements:
+    spec = LAWS[law]
+    if stmt not in spec.statements:
         raise ValueError(f"unknown statement {stmt!r} for {law}")
-    if statements[stmt] is None:
-        raise ValueError(f"{law} ({stmt}) is quantified; use inclusion_statement_sampled")
-    return statements[stmt](ctx)
+    if spec.is_sampled(stmt):
+        return inclusion_holds(spec.sampled, ctx)
+    return spec.statements[stmt](ctx)
+
+
+def _k_inverses(ctx: LawContext, ks, xa, xb):
+    """(b-side, a-side) K-inverses with parameters xb and xa, matrices or
+    WordMatrix parameters: a+ + (e - a+ a) x for K = {1,3} and
+    a+ + x (e - a a+) for K = {1,4}.  Every K-inverse arises this way."""
+    if 3 in ks:
+        return ctx.b_dag + ctx.comp13_b @ xb, ctx.a_dag + ctx.comp13_a @ xa
+    return ctx.b_dag + xb @ ctx.comp14_b, ctx.a_dag + xa @ ctx.comp14_a
+
+
+def inclusion_holds(sampled: SampledStatement, ctx: LawContext) -> bool:
+    """Exact truth of a set inclusion on an instance.
+
+    The product of the K-inverses of b and a, with free parameters Z and
+    Y, lies in the target's K-inverse set for all Y and Z iff the
+    Penrose equations of is_k_inverse hold as polynomial identities in
+    Y, Z and their stars; wordpoly decides those from the coefficients."""
+    n, domain = ctx.a.rows, ctx.a.domain
+    b_inv, a_inv = _k_inverses(ctx, sampled.ks, WordMatrix.parameter("Y", n, n, domain),
+                               WordMatrix.parameter("Z", n, n, domain))
+    return is_k_inverse(sampled.target(ctx), sampled.product(ctx, b_inv, a_inv), sampled.ks)
 
 
 @dataclass(frozen=True)
@@ -496,36 +536,46 @@ class SampledVerdict:
 def inclusion_statement_sampled(
     law: LawId, ctx: LawContext, samples: int, seed: int
 ) -> SampledVerdict:
-    """Randomized test of a set-inclusion statement.
+    """Randomized witness search against a set-inclusion statement.
 
     Draws `samples` parameter pairs, forms the corresponding product of
-    sampled {1,3}- or {1,4}-inverses, and checks membership in the target
+    {1,3}- or {1,4}-inverses, and checks membership in the target
     K-inverse set.  Stops at the first failing product and reports it as
-    a counterexample witness."""
+    a witness.  The draws prove only a failure; inclusion_holds decides
+    the statement.  Hypotheses are not checked: the inclusion is defined
+    on every instance."""
     sampled = LAWS[law].sampled
     if sampled is None:
         raise ValueError(f"{law} has no quantified statement")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    check_hypotheses(law, ctx)
     target = sampled.target(ctx)
-    kind13 = 3 in sampled.ks
     rng = random.Random(seed)
     n = ctx.a.rows
     domain = ctx.a.domain
     for t in range(samples):
         xa = random_matrix(domain, n, n, rng)
         xb = random_matrix(domain, n, n, rng)
-        if kind13:
-            a_inv = ctx.a_dag + ctx.comp13_a @ xa
-            b_inv = ctx.b_dag + ctx.comp13_b @ xb
-        else:
-            a_inv = ctx.a_dag + xa @ ctx.comp14_a
-            b_inv = ctx.b_dag + xb @ ctx.comp14_b
+        b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
         product = sampled.product(ctx, b_inv, a_inv)
         if not is_k_inverse(target, product, sampled.ks):
             return SampledVerdict(False, t + 1, (b_inv, a_inv, product))
     return SampledVerdict(True, samples, None)
+
+
+def _basis_witness(sampled: SampledStatement, ctx: LawContext) -> tuple:
+    """(b-side inverse, a-side inverse, product) for the first parameters
+    from wordpoly.basis_points whose product breaks an inclusion that
+    inclusion_holds found false; such parameters always exist."""
+    points = basis_points(ctx.a.rows, ctx.a.cols, ctx.a.domain)
+    target = sampled.target(ctx)
+    for xb in points:
+        for xa in points:
+            b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
+            product = sampled.product(ctx, b_inv, a_inv)
+            if not is_k_inverse(target, product, sampled.ks):
+                return b_inv, a_inv, product
+    raise RuntimeError("the inclusion was decided false, but no basis point breaks it")
 
 
 @dataclass
@@ -562,8 +612,8 @@ class EquivalenceReport:
 
 
 def check_draw_counts(samples: int, falsify_samples: int) -> None:
-    """Reject a sampling budget below one draw: it would confirm or
-    falsify nothing, and whether it is reached depends on the data."""
+    """Reject a witness-search budget below one draw: it would search
+    nothing, and whether it is reached depends on the data."""
     for name, value in (("samples", samples), ("falsify_samples", falsify_samples)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
@@ -575,13 +625,14 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Evaluate every statement of the law and compare truth values.
 
-    Exact statements are computed directly.  A quantified statement is
-    confirmed with `samples` draws when the exact statements are true; it
-    is falsified with `falsify_samples` draws when they are false, and a
-    fruitless falsification yields INCONCLUSIVE rather than agreement,
-    because the failing direction is existence-based.  A zero target
-    product (e.g. ab = 0) makes every membership trivial; such instances
-    are reported as equivalent with a note."""
+    Exact statements are computed directly and a quantified statement is
+    decided by inclusion_holds.  Random draws only search for a witness
+    against the inclusion: `falsify_samples` draws run first when the
+    exact statements are false, and `samples` draws run when they are
+    true but the inclusion fails.  A failing inclusion whose draws find
+    nothing gets a witness from basis matrices.  A zero target product
+    (e.g. ab = 0) makes every membership trivial; such instances are
+    reported as equivalent with a note."""
     check_draw_counts(samples, falsify_samples)
     try:
         check_hypotheses(law, ctx)
@@ -590,7 +641,7 @@ def check_equivalence(
             law, {}, False, HYPOTHESIS_NOT_MET, details=exc.hypothesis
         )
     spec = LAWS[law]
-    sampled = spec.sampled.stmt if spec.sampled is not None else None
+    sampled = spec.sampled
     values = {stmt: fn(ctx) for stmt, fn in spec.statements.items() if fn is not None}
     exact_values = set(values.values())
     witness = None
@@ -599,36 +650,33 @@ def check_equivalence(
     if sampled is None:
         verdict = EQUIVALENT if len(exact_values) == 1 else VIOLATION
     elif len(exact_values) > 1:
-        values[sampled] = None
+        values[sampled.stmt] = None
         verdict = VIOLATION
-    else:
-        expected = exact_values.pop()
-        target = spec.sampled.target(ctx)
-        if target.is_zero():
-            values[sampled] = True
-            notes = "target product is zero; every candidate is trivially a K-inverse"
-            verdict = EQUIVALENT if expected else VIOLATION
-        elif expected:
-            sv = inclusion_statement_sampled(law, ctx, samples, seed)
-            values[sampled] = sv.all_passed
-            if sv.all_passed:
-                verdict = EQUIVALENT
-            else:
-                verdict = VIOLATION
-                witness = sv.witness
-                details = (
-                    f"exact statements hold but sample {sv.tested} broke the inclusion"
-                )
+    elif sampled.target(ctx).is_zero():
+        values[sampled.stmt] = True
+        notes = "target product is zero; every candidate is trivially a K-inverse"
+        verdict = EQUIVALENT if exact_values.pop() else VIOLATION
+    elif exact_values.pop():
+        values[sampled.stmt] = inclusion_holds(sampled, ctx)
+        if values[sampled.stmt]:
+            verdict = EQUIVALENT
         else:
-            sv = inclusion_statement_sampled(law, ctx, falsify_samples, seed)
+            verdict = VIOLATION
+            sv = inclusion_statement_sampled(law, ctx, samples, seed)
             if sv.all_passed:
-                values[sampled] = None
-                verdict = INCONCLUSIVE
-                details = f"no counterexample within {falsify_samples} samples"
+                witness = _basis_witness(sampled, ctx)
+                details = "exact statements hold but a basis-matrix product broke the inclusion"
             else:
-                values[sampled] = False
-                verdict = EQUIVALENT
                 witness = sv.witness
+                details = f"exact statements hold but sample {sv.tested} broke the inclusion"
+    else:
+        sv = inclusion_statement_sampled(law, ctx, falsify_samples, seed)
+        values[sampled.stmt] = sv.all_passed and inclusion_holds(sampled, ctx)
+        if values[sampled.stmt]:
+            verdict = VIOLATION
+        else:
+            verdict = EQUIVALENT
+            witness = sv.witness if not sv.all_passed else _basis_witness(sampled, ctx)
     if verdict == VIOLATION and details is None:
         details = _disagreement(values)
     ordered = {stmt: values[stmt] for stmt in spec.statements}

@@ -157,11 +157,11 @@ def test_greville_truth_is_scale_invariant():
             )
 
 
-def test_sampled_statement_not_available_exactly():
+def test_sampled_statement_decided_exactly():
     a, b = _witness_pair()
     ctx = law_context(a, b, Matrix.identity(2, G))
-    with pytest.raises(ValueError):
-        law_statement(LawId.T32, "i", ctx)
+    assert law_statement(LawId.T32, "i", ctx) is False
+    assert law_statement(LawId.T32, "i", law_context(a, a, ctx.c)) is True
     with pytest.raises(ValueError):
         law_statement(LawId.T23, "iv", ctx)
 
