@@ -7,8 +7,9 @@ For each law, over Q(i) and F_5 at n <= 3, one hash covers
   - search_counterexample(...) without a statement and for each statement.
 
 A second hash pins the same reports with K-inverse membership negated
-inside the law checker, a planted fault that drives the violation,
-witness and inconclusive paths a correct checker never takes.
+inside the law checker, a planted fault that drives the violation and
+witness paths a correct checker never takes, among them set inclusions
+decided true where the exact statements are false.
 
 The pool mixes weights generated for either commute side, the four-way
 weights of T38/T39, identity and scalar weights, and a few explicit
@@ -132,7 +133,7 @@ GOLDEN = {
     "T39": "002576265721db41afbef781249a1e9bf03a6b0d25c9679042d7fbfcf04ad1e1",
 }
 
-GOLDEN_UNDER_FAULT = "fce0ec4a0cb5ebb1fdcbe9344ea8177389625048c148e186487d555138401d3a"
+GOLDEN_UNDER_FAULT = "4fd53b52145e8a949160425bb6e9ffb06c80c72385cbd211b6ee032777a66b5f"
 
 
 def _pool():
