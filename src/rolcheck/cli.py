@@ -22,13 +22,15 @@ from .errors import (
     NotGroupInvertible,
     RolcheckError,
 )
-from .geninv import group_inverse, mp_inverse, penrose_residuals
+from .geninv import group_inverse, mp_inverse, penrose_equations
 from .harness import InstanceSpec, run_suite, search_counterexample
 from .laws import (
     VIOLATION,
     LawContext,
     LawId,
+    check_draw_counts,
     check_equivalence,
+    check_statement_id,
     law_statement,
 )
 from .matrices import Matrix, matrix_from_json, matrix_to_json
@@ -201,14 +203,8 @@ def _cmd_kcheck(args) -> int:
     x = _load_matrix(args.x)
     ks = {int(t) for t in args.k.split(",") if t.strip()}
     member = is_k_inverse(a, x, ks)
-    report = penrose_residuals(a, x)
     print(f"member of a{{{','.join(str(k) for k in sorted(ks))}}}: {member}")
-    flags = {
-        "eq1": report.eq1_holds,
-        "eq2": report.eq2_holds,
-        "eq3": report.eq3_holds,
-        "eq4": report.eq4_holds,
-    }
+    flags = {f"eq{k}": v for k, v in penrose_equations(a, x, (1, 2, 3, 4)).items()}
     print("  " + "  ".join(f"{k}={v}" for k, v in flags.items()))
     _emit_json({"member": member, "k": sorted(ks), "penrose": flags}, args.json_out)
     return EXIT_OK
@@ -231,6 +227,9 @@ def _law_check_context(args):
 
 def _cmd_law_check(args) -> int:
     law = _parse_law(args.law)
+    check_draw_counts(args.samples, args.falsify_samples)
+    if args.stmt is not None:
+        check_statement_id(law, args.stmt)
     try:
         ctx = _law_check_context(args)
     except NoMPInverse as exc:

@@ -7,9 +7,11 @@ domain.  The blanket elements
     p = b b+,  q = a+ (a+)*,  r = b b*,  s = a+ a
 
 are all hermitian and satisfy a = a s, (a+)* = a q, b = r (b+)*,
-(b+)* = p (b+)*.  Statement formulas are transcribed symbol for symbol,
-with no algebraic simplification, so a transcription slip shows up as an
-equivalence violation in the randomized suites.
+(b+)* = p (b+)*.  As (x x*)+ = (x+)* x+ whenever x+ exists, q+ = a* a
+and r+ = (b+)* b+ always exist, and the context holds these products.
+Statement formulas are transcribed symbol for symbol, with no algebraic
+simplification, so a transcription slip shows up as an equivalence
+violation in the randomized suites.
 
 Law identifiers and their statement (i):
 
@@ -54,7 +56,6 @@ from .errors import BlanketIdentityFailed, DimensionMismatch, HypothesisNotMet
 from .geninv import commutes_with_pair, mp_exists, mp_inverse
 from .matrices import Matrix, matrix_to_json, random_matrix
 from .peirce import is_k_inverse
-from .scalars import PrimeFieldDomain
 from .wordpoly import WordMatrix, basis_points
 
 
@@ -153,16 +154,16 @@ class LawContext:
 
     @cached_property
     def q_dag(self) -> Matrix:
-        return mp_inverse(self.q)
+        return self.a_star @ self.a
 
     @cached_property
     def r_dag(self) -> Matrix:
-        return mp_inverse(self.r)
+        return self.b_dag_star @ self.b_dag
 
     # complements used by the {1,3}/{1,4} parametrizations
     @cached_property
     def comp13_a(self) -> Matrix:
-        return self.e - self.a_dag @ self.a
+        return self.e - self.s
 
     @cached_property
     def comp13_b(self) -> Matrix:
@@ -174,11 +175,10 @@ class LawContext:
 
     @cached_property
     def comp14_b(self) -> Matrix:
-        return self.e - self.b @ self.b_dag
+        return self.e - self.p
 
 
-def law_context(a: Matrix, b: Matrix, c: Matrix) -> LawContext:
-    return LawContext(a, b, c)
+law_context = LawContext
 
 
 def variant_context(ctx: LawContext, variant: LawId) -> LawContext:
@@ -202,10 +202,7 @@ def _is_scalar_matrix(c: Matrix) -> bool:
 
 
 def _mp_ok(m: Matrix) -> bool:
-    # Existence only ever fails over prime fields.
-    if isinstance(m.domain, PrimeFieldDomain):
-        return mp_exists(m)
-    return True
+    return m.domain.mp_always_exists or mp_exists(m)
 
 
 # --- exact statement evaluators ---------------------------------------------
@@ -341,12 +338,16 @@ def _t36_ii(ctx):
     )
 
 
+# T37 mirrors T36 under x -> x* with a -> b*, b -> a*, c -> c*, which takes
+# cab to abc, b+ a+ to (b+ a+)*, {1,3} to {1,4} and a(e - bb+) to
+# ((e - a+a)b)*.  So T36's cab = cab b+ a+ ab becomes
+# (c* b* a* (a*)+ (b*)+ b* a*)* = ab b+ a+ abc, that is abc = ab b+ a+ abc.
 def _t37_ii(ctx):
     abc = ctx.abc
     b_comp = (ctx.e - ctx.s) @ ctx.b
     return (
         is_k_inverse(abc, ctx.b_dag @ ctx.a_dag, {1, 4})
-        and ctx.ab == ctx.ab @ ctx.b_dag @ ctx.a_dag @ ctx.ab @ ctx.c
+        and abc == ctx.ab @ ctx.b_dag @ ctx.a_dag @ abc
         and b_comp @ ctx.c == b_comp @ ctx.b_dag @ (ctx.e - ctx.s) @ ctx.b @ ctx.c
     )
 
@@ -419,8 +420,6 @@ _SIDE_HYPOTHESES = {
 }
 
 _AB_MP = ("ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab))
-_Q_MP = ("q = a+ a+* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.q))
-_R_MP = ("r = b b* is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.r))
 _CAB_MP = ("cab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.cab))
 _ABC_MP = ("abc is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.abc))
 _A_COMP_MP = ("a(e - bb+) is Moore-Penrose invertible",
@@ -430,12 +429,12 @@ _B_COMP_MP = ("(e - a+a)b is Moore-Penrose invertible",
 
 LAWS = {
     LawId.T23: LawSpec("b", (_AB_MP,), _statements(_t23_i, _t23_ii, _t23_iii)),
-    LawId.T24: LawSpec("a", (_AB_MP, _Q_MP, _R_MP), _statements(_t24_i, _t24_ii, _t24_iii)),
+    LawId.T24: LawSpec("a", (_AB_MP,), _statements(_t24_i, _t24_ii, _t24_iii)),
     LawId.T25: LawSpec("a", (_CAB_MP,), _statements(_t25_i, _t25_ii, _t25_iii)),
-    LawId.T26: LawSpec("b", (_Q_MP, _R_MP, _ABC_MP), _statements(_t26_i, _t26_ii, _t26_iii)),
+    LawId.T26: LawSpec("b", (_ABC_MP,), _statements(_t26_i, _t26_ii, _t26_iii)),
     LawId.C27: LawSpec("scalar", (_AB_MP,), _statements(_c27_i, _c27_ii, _c27_iii)),
     LawId.GREVILLE: LawSpec(None, (_AB_MP,), _statements(_greville_i, _greville_ii)),
-    LawId.KOLIHA_DC: LawSpec(None, (_AB_MP, _Q_MP), _statements(_greville_i, _koliha_ii)),
+    LawId.KOLIHA_DC: LawSpec(None, (_AB_MP,), _statements(_greville_i, _koliha_ii)),
     LawId.T32: LawSpec("a", (), _statements(None, _t32_ii), SampledStatement(
         "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
     LawId.C33: LawSpec("a", (_A_COMP_MP,), _statements(None, _c33_ii), SampledStatement(
@@ -490,15 +489,20 @@ def check_hypotheses(law: LawId, ctx: LawContext):
             raise HypothesisNotMet(name)
 
 
+def check_statement_id(law: LawId, stmt: str) -> None:
+    """Reject a statement id the law does not have, whatever the instance."""
+    if stmt not in LAWS[law].statements:
+        raise ValueError(f"unknown statement {stmt!r} for {law}")
+
+
 def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
     """Exact truth of one statement of a law.
 
     A set-inclusion statement is decided for every pair of K-inverses at
     once; see inclusion_holds."""
+    check_statement_id(law, stmt)
     check_hypotheses(law, ctx)
     spec = LAWS[law]
-    if stmt not in spec.statements:
-        raise ValueError(f"unknown statement {stmt!r} for {law}")
     if spec.is_sampled(stmt):
         return inclusion_holds(spec.sampled, ctx)
     return spec.statements[stmt](ctx)
@@ -549,18 +553,12 @@ def inclusion_statement_sampled(
         raise ValueError(f"{law} has no quantified statement")
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    target = sampled.target(ctx)
     rng = random.Random(seed)
-    n = ctx.a.rows
-    domain = ctx.a.domain
-    for t in range(samples):
-        xa = random_matrix(domain, n, n, rng)
-        xb = random_matrix(domain, n, n, rng)
-        b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
-        product = sampled.product(ctx, b_inv, a_inv)
-        if not is_k_inverse(target, product, sampled.ks):
-            return SampledVerdict(False, t + 1, (b_inv, a_inv, product))
-    return SampledVerdict(True, samples, None)
+    n, domain = ctx.a.rows, ctx.a.domain
+    draws = ((random_matrix(domain, n, n, rng), random_matrix(domain, n, n, rng))
+             for _ in range(samples))
+    found = _first_break(sampled, ctx, draws)
+    return SampledVerdict(True, samples) if found is None else SampledVerdict(False, *found)
 
 
 def _basis_witness(sampled: SampledStatement, ctx: LawContext) -> tuple:
@@ -568,14 +566,22 @@ def _basis_witness(sampled: SampledStatement, ctx: LawContext) -> tuple:
     from wordpoly.basis_points whose product breaks an inclusion that
     inclusion_holds found false; such parameters always exist."""
     points = basis_points(ctx.a.rows, ctx.a.cols, ctx.a.domain)
+    found = _first_break(sampled, ctx, ((xa, xb) for xb in points for xa in points))
+    if found is None:
+        raise RuntimeError("the inclusion was decided false, but no basis point breaks it")
+    return found[1]
+
+
+def _first_break(sampled: SampledStatement, ctx: LawContext, params):
+    """(position from 1, (b-side inverse, a-side inverse, product)) for the
+    first (Y, Z) pair in params whose product breaks the inclusion, or None."""
     target = sampled.target(ctx)
-    for xb in points:
-        for xa in points:
-            b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
-            product = sampled.product(ctx, b_inv, a_inv)
-            if not is_k_inverse(target, product, sampled.ks):
-                return b_inv, a_inv, product
-    raise RuntimeError("the inclusion was decided false, but no basis point breaks it")
+    for t, (xa, xb) in enumerate(params, 1):
+        b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
+        product = sampled.product(ctx, b_inv, a_inv)
+        if not is_k_inverse(target, product, sampled.ks):
+            return t, (b_inv, a_inv, product)
+    return None
 
 
 @dataclass
@@ -644,9 +650,7 @@ def check_equivalence(
     sampled = spec.sampled
     values = {stmt: fn(ctx) for stmt, fn in spec.statements.items() if fn is not None}
     exact_values = set(values.values())
-    witness = None
-    notes = None
-    details = None
+    witness = notes = details = None
     if sampled is None:
         verdict = EQUIVALENT if len(exact_values) == 1 else VIOLATION
     elif len(exact_values) > 1:
@@ -658,10 +662,8 @@ def check_equivalence(
         verdict = EQUIVALENT if exact_values.pop() else VIOLATION
     elif exact_values.pop():
         values[sampled.stmt] = inclusion_holds(sampled, ctx)
-        if values[sampled.stmt]:
-            verdict = EQUIVALENT
-        else:
-            verdict = VIOLATION
+        verdict = EQUIVALENT if values[sampled.stmt] else VIOLATION
+        if verdict == VIOLATION:
             sv = inclusion_statement_sampled(law, ctx, samples, seed)
             if sv.all_passed:
                 witness = _basis_witness(sampled, ctx)
@@ -678,12 +680,7 @@ def check_equivalence(
             verdict = EQUIVALENT
             witness = sv.witness if not sv.all_passed else _basis_witness(sampled, ctx)
     if verdict == VIOLATION and details is None:
-        details = _disagreement(values)
+        details = "statement values disagree: " + ", ".join(
+            f"({k})={v}" for k, v in sorted(values.items()))
     ordered = {stmt: values[stmt] for stmt in spec.statements}
     return EquivalenceReport(law, ordered, True, verdict, details, witness, notes)
-
-
-def _disagreement(values) -> str:
-    return "statement values disagree: " + ", ".join(
-        f"({k})={v}" for k, v in sorted(values.items())
-    )

@@ -46,10 +46,8 @@ def peirce_blocks(x: Matrix, p: Matrix, q: Matrix) -> PeirceBlocks:
         raise NotIdempotent("p is not idempotent")
     if q @ q != q:
         raise NotIdempotent("q is not idempotent")
-    ep = Matrix.identity(p.rows, p.domain)
-    eq = Matrix.identity(q.rows, q.domain)
-    p_c = ep - p
-    q_c = eq - q
+    p_c = Matrix.identity(p.rows, p.domain) - p
+    q_c = Matrix.identity(q.rows, q.domain) - q
     return PeirceBlocks(
         x1=p @ x @ q,
         x2=p @ x @ q_c,
@@ -118,7 +116,7 @@ def param_context_13(a: Matrix, b: Matrix) -> ParamContext13:
     return ParamContext13(
         a=a,
         d=d,
-        d_dagger=mp_inverse(d),
+        d_dagger=a_dag.star() @ a_dag,  # (a a*)+ = (a+)* a+
         p=b @ b_dag,
         q=b_dag @ b,
         r=a @ a_dag,

@@ -296,9 +296,15 @@ def _parse_fraction(text):
 
 
 class ScalarDomain:
-    """A scalar field together with its involution and string grammar."""
+    """A scalar field together with its involution and string grammar.
+
+    The law checker reads two facts in place of tests of the type:
+    whether every matrix over the domain has a Moore-Penrose inverse, and
+    a basis of the domain over the scalars its involution fixes."""
 
     name = "abstract"
+    mp_always_exists = False
+    real_units = ()
 
     def zero(self):
         raise NotImplementedError
@@ -341,6 +347,8 @@ class ScalarDomain:
 
 class GaussianRationalDomain(ScalarDomain):
     name = "gaussian_rational"
+    mp_always_exists = True  # Q(i) is formally real: x* x = 0 forces x = 0
+    real_units = (GaussianRational(1), GaussianRational(0, 1))
 
     def zero(self):
         return GaussianRational(0)
@@ -470,6 +478,7 @@ class PrimeFieldDomain(ScalarDomain):
         _check_odd_prime(p)
         self.p = p
         self.name = f"prime_field({p})"
+        self.real_units = (self.one(),)  # the involution is the identity
 
     def zero(self):
         return PrimeFieldElement(0, self.p)

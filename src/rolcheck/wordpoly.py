@@ -24,6 +24,9 @@ every word to have degree at most one in each parameter.  Then:
   variable vanishes on all of F_p^N only if it is zero, so identity
   and vanishing at every point agree.
 
+The domain's real_units tell the cases apart: (1, i) over Q(i), (1,)
+over F_p.
+
 An entry of a word is a sum of products of coefficient entries with one
 variable per letter, so a group is a tensor  sum_t C0_t (x) C1_t (x) ...
 over the output row and column and the row and column index of each
@@ -42,12 +45,6 @@ from itertools import product as index_tuples
 
 from .errors import DimensionMismatch, DomainMismatch
 from .matrices import Matrix, rref
-from .scalars import PrimeFieldDomain
-
-
-def _star_is_transpose(domain) -> bool:
-    # The identity involution makes P* = P^T a linear function of P.
-    return isinstance(domain, PrimeFieldDomain)
 
 
 def _times(x: Matrix, y: Matrix) -> Matrix:
@@ -174,7 +171,7 @@ class WordMatrix:
         of its parameters.  Raises ValueError for a word of degree above
         one in some parameter."""
         one = self.domain.one()
-        merge_star = _star_is_transpose(self.domain)
+        merge_star = len(self.domain.real_units) == 1  # P* = P^T is linear in P
         groups = {}
         for coeffs, letters in self.words:
             names = [name for name, _ in letters]
@@ -277,8 +274,8 @@ def _expanded_is_zero(terms) -> bool:
 
 
 def basis_points(rows, cols, domain) -> list:
-    """Zero, then u E_ij for each basis matrix E_ij, with u in {1, i}
-    over Q(i) and u = 1 over F_p.
+    """Zero, then u E_ij for each basis matrix E_ij and each u in
+    domain.real_units: {1, i} over Q(i) and {1} over F_p.
 
     A polynomial of degree at most one in each parameter that is_zero
     finds nonzero is nonzero when each parameter takes one of these
@@ -286,12 +283,11 @@ def basis_points(rows, cols, domain) -> list:
     Z = mu E_kl turn it into a polynomial in lam, conj(lam), mu and
     conj(mu) whose coefficients are those of its groups at ij and kl,
     and the values 0, 1, i (0, 1 over F_p) determine such a polynomial."""
-    units = [domain.one()] if _star_is_transpose(domain) else [domain.one(), domain.parse("i")]
     zero = domain.zero()
     points = [Matrix.zeros(rows, cols, domain)]
     for i in range(rows):
         for j in range(cols):
-            for unit in units:
+            for unit in domain.real_units:
                 points.append(Matrix(rows, cols, domain,
                                      [unit if (r, c) == (i, j) else zero
                                       for r in range(rows) for c in range(cols)]))

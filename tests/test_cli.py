@@ -239,3 +239,27 @@ def test_zero_draw_count_exits_3_before_any_trial(tmp_path, capsys, command, law
     assert out == ""
     assert len(err.strip().splitlines()) == 1, err
     assert flag.lstrip("-").replace("-", "_") + " must be >= 1" in err
+
+
+F5_AB_NO_MP = (
+    {"domain": {"prime_field": 5}, "rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "1"]]},
+    {"domain": {"prime_field": 5}, "rows": 2, "cols": 2, "entries": [["0", "1"], ["1", "2"]]},
+)
+
+
+@pytest.mark.parametrize("pair", ["hypotheses-met", "ab-without-mp"])
+@pytest.mark.parametrize("extra", [["--stmt", "iv"], ["--stmt", "i", "--samples", "0"],
+                                   ["--stmt", "i", "--falsify-samples", "0"]],
+                         ids=["unknown-stmt", "zero-samples", "zero-falsify-samples"])
+def test_bad_law_check_input_exits_3_whatever_the_data(tmp_path, pair, extra):
+    # Over F_5, ab has no Moore-Penrose inverse in the second pair, so the
+    # GREVILLE hypotheses fail; the input error must still win.
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    first, second = (IDENTITY2, IDENTITY2) if pair == "hypotheses-met" else F5_AB_NO_MP
+    write_matrix(a, first)
+    write_matrix(b, second)
+    result = run_cli(["law", "check", "--law", "GREVILLE", "--a", str(a), "--b", str(b),
+                      *extra])
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert "input error" in result.stderr

@@ -69,9 +69,9 @@ _B_SIDE = "c commutes with b and b*"
 _AB = "ab is Moore-Penrose invertible"
 
 # Every hypothesis name the pool must reach, per law.  Not listed: the
-# invertibility of q = a+ a+* and r = b b* (T24, T26, KOLIHA_DC), which
-# follows from that of a and b, and that of abb+ (T38) and a+ab (T39),
-# which no 2x2 or 3x3 F_5 instance with a+, b+ and (ab)+ was found to break.
+# invertibility of abb+ (T38) and a+ab (T39).  It fails on 4-7% of the
+# random 3x3 F_3 and F_5 pairs of rank 1 or 2 with a+, b+ and (ab)+, but
+# on no instance of this pool; tests/test_laws.py pins one of each.
 REACHED = {
     LawId.T23: {_B_SIDE, _AB},
     LawId.T24: {_A_SIDE, _AB},

@@ -16,13 +16,17 @@ from rolcheck import (
     InstanceSpec,
     LawId,
     Matrix,
+    NoMPInverse,
     check_equivalence,
     gen_instance,
     inclusion_statement_sampled,
     is_k_inverse,
     law_context,
     law_statement,
+    mp_exists,
     mp_inverse,
+    prime_field,
+    rank,
     variant_context,
 )
 from rolcheck.harness import _trial_seeds
@@ -64,6 +68,27 @@ def test_law_context_blanket_identities():
         assert ctx.a @ ctx.q == ctx.a_dag_star
         assert ctx.r @ ctx.b_dag_star == ctx.b
         assert ctx.p @ ctx.b_dag_star == ctx.b_dag_star
+
+
+@pytest.mark.parametrize("domain", [G, prime_field(3), prime_field(5), prime_field(7)],
+                         ids=lambda d: d.name)
+def test_q_and_r_inverses_are_the_blanket_products(domain):
+    # (x x*)+ = (x+)* x+: the context holds q+ = a* a and r+ = (b+)* b+
+    # without computing them, and they must be the Moore-Penrose inverses.
+    built = deficient = 0
+    for size in (1, 2, 3, 4):
+        for seed in range(10):
+            spec = InstanceSpec(domain=domain, size=size, seed=seed)
+            try:
+                ctx = law_context(*gen_instance(spec))
+            except NoMPInverse:
+                continue
+            built += 1
+            deficient += rank(ctx.a) < size and rank(ctx.b) < size
+            assert mp_exists(ctx.q) and mp_exists(ctx.r)
+            assert ctx.q_dag == mp_inverse(ctx.q)
+            assert ctx.r_dag == mp_inverse(ctx.r)
+    assert built >= 20 and deficient >= 5, (built, deficient)
 
 
 def test_greville_witness_instance():
@@ -164,6 +189,9 @@ def test_sampled_statement_decided_exactly():
     assert law_statement(LawId.T32, "i", law_context(a, a, ctx.c)) is True
     with pytest.raises(ValueError):
         law_statement(LawId.T23, "iv", ctx)
+    # an unknown statement is rejected before any hypothesis is checked
+    with pytest.raises(ValueError):
+        law_statement(LawId.T23, "iv", law_context(a, b, Matrix.from_rows([[0, 1], [0, 0]], G)))
 
 
 def test_t32_confirmation_path():
@@ -231,6 +259,48 @@ def test_t38_hypothesis_gate_names_failure():
     report = check_equivalence(LawId.T38, ctx)
     assert report.verdict == HYPOTHESIS_NOT_MET
     assert report.hypotheses_met is False
+
+
+@pytest.mark.parametrize("law, a, b, hypothesis", [
+    (LawId.T38, [[1, 2, 0], [1, 2, 0], [0, 0, 0]], [[0, 1, 0], [1, 0, 0], [0, 2, 0]],
+     "abb+ is Moore-Penrose invertible"),
+    (LawId.T39, [[1, 1, 2], [2, 1, 1], [2, 2, 1]], [[1, 0, 1], [1, 0, 1], [0, 0, 0]],
+     "a+ab is Moore-Penrose invertible"),
+], ids=["T38", "T39"])
+def test_four_way_invertibility_hypotheses_can_fail(law, a, b, hypothesis):
+    # a+, b+ and (ab)+ exist over F_3, yet abb+ or a+ab has no
+    # Moore-Penrose inverse, so these hypotheses are not implied.
+    f3 = prime_field(3)
+    ctx = law_context(Matrix.from_rows(a, f3), Matrix.from_rows(b, f3), Matrix.identity(3, f3))
+    assert mp_exists(ctx.ab)
+    assert check_equivalence(law, ctx).to_json_dict() == {
+        "law": law.value, "verdict": HYPOTHESIS_NOT_MET, "statement_values": {},
+        "hypotheses_met": False, "details": hypothesis,
+    }
+
+
+def test_t37_regression_abc_nonzero():
+    # c commutes with b and b*, and abc != 0.  The second conjunct of
+    # (ii) once read ab = ab b+ a+ ab c, which is false here.
+    a = Matrix.identity(3, G)
+    b = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 0]], G)
+    c = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]], G)
+    ctx = law_context(a, b, c)
+    assert not ctx.abc.is_zero()
+    report = check_equivalence(LawId.T37, ctx)
+    assert report.verdict == EQUIVALENT, report.details
+    assert report.statement_values == {"i": True, "ii": True}
+
+
+def test_t37_regression_f5_seed_103():
+    # abc = 0 but ab != 0: statement (i) holds on the zero target, and so
+    # must (ii).
+    spec = InstanceSpec(domain=prime_field(5), size=3, weight_mode="commutant", seed=103)
+    ctx = law_context(*gen_instance(spec, LawId.T37))
+    assert ctx.abc.is_zero() and not ctx.ab.is_zero()
+    report = check_equivalence(LawId.T37, ctx)
+    assert report.verdict == EQUIVALENT, report.details
+    assert report.statement_values == {"i": True, "ii": True}
 
 
 def test_commutation_hypothesis_gate():
