@@ -133,7 +133,7 @@ GOLDEN = {
     "T39": "002576265721db41afbef781249a1e9bf03a6b0d25c9679042d7fbfcf04ad1e1",
 }
 
-GOLDEN_UNDER_FAULT = "4fd53b52145e8a949160425bb6e9ffb06c80c72385cbd211b6ee032777a66b5f"
+GOLDEN_UNDER_FAULT = "38005e1cbab57476cd8c3cde23a004a4c296f776fc240e7e39d1f4574d7f1d51"
 
 
 def _pool():
