@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import rolcheck.laws
 from rolcheck import (
     EQUIVALENT,
     GAUSSIAN_RATIONAL,
@@ -17,6 +18,7 @@ from rolcheck import (
     LawId,
     Matrix,
     NoMPInverse,
+    VIOLATION,
     check_equivalence,
     gen_instance,
     inclusion_statement_sampled,
@@ -231,6 +233,77 @@ def test_trivial_zero_product_is_flagged():
     assert report.verdict == EQUIVALENT
     assert report.notes is not None
     assert report.statement_values["i"] is True
+
+
+_ZERO_NOTE = "target product is zero; every candidate is trivially a K-inverse"
+
+
+def _outcome_instance(name):
+    e = Matrix.identity(2, G)
+    a, b = _witness_pair()
+    return {"units": (e, e, e), "zero_a": (Matrix.zeros(2, 2, G), b, e),
+            "witness_pair": (a, b, e)}[name]
+
+
+# (law, planted exact statements, instance, expected verdict, statement
+# values, details, notes, whether a witness is reported, calls of the
+# decider and the witness draws in order).  The planted statements reach
+# each outcome on a correct checker; the inclusion itself is not planted.
+_OUTCOMES = {
+    "exact-disagree": (
+        LawId.T38, {"i": True, "ii": None, "iii": False, "iv": True}, "units",
+        VIOLATION, {"i": True, "ii": None, "iii": False, "iv": True},
+        "statement values disagree: (i)=True, (ii)=None, (iii)=False, (iv)=True",
+        None, False, []),
+    "zero-target-exact-false": (
+        LawId.T32, {"i": None, "ii": False}, "zero_a",
+        VIOLATION, {"i": True, "ii": False},
+        "statement values disagree: (i)=True, (ii)=False", _ZERO_NOTE, False, []),
+    "exact-false-inclusion-holds": (
+        LawId.T32, {"i": None, "ii": False}, "units",
+        VIOLATION, {"i": True, "ii": False},
+        "statement values disagree: (i)=True, (ii)=False", None, False,
+        [("draws", 500), "decide"]),
+    "exact-true-draw-breaks": (
+        LawId.T32, {"i": None, "ii": True}, "witness_pair",
+        VIOLATION, {"i": False, "ii": True},
+        "exact statements hold but sample 1 broke the inclusion", None, True,
+        ["decide", ("draws", 200)]),
+    "exact-true-inclusion-holds": (
+        LawId.T32, {"i": None, "ii": True}, "units",
+        EQUIVALENT, {"i": True, "ii": True}, None, None, False, ["decide"]),
+    "exact-false-draw-breaks": (
+        LawId.T32, {"i": None, "ii": False}, "witness_pair",
+        EQUIVALENT, {"i": False, "ii": False}, None, None, True, [("draws", 500)]),
+}
+
+
+@pytest.mark.parametrize("case", list(_OUTCOMES))
+def test_check_equivalence_outcomes(monkeypatch, case):
+    (law, planted, instance, verdict, values, details, notes, has_witness,
+     calls) = _OUTCOMES[case]
+    spec = LAWS[law]
+    statements = {stmt: None if value is None else (lambda ctx, value=value: value)
+                  for stmt, value in planted.items()}
+    monkeypatch.setitem(LAWS, law, replace(spec, statements=statements))
+    log = []
+    draws, decide = rolcheck.laws.inclusion_statement_sampled, rolcheck.laws.inclusion_holds
+
+    def logged_draws(law, ctx, samples, seed):
+        log.append(("draws", samples))
+        return draws(law, ctx, samples, seed)
+
+    def logged_decide(sampled, ctx):
+        log.append("decide")
+        return decide(sampled, ctx)
+
+    monkeypatch.setattr(rolcheck.laws, "inclusion_statement_sampled", logged_draws)
+    monkeypatch.setattr(rolcheck.laws, "inclusion_holds", logged_decide)
+    report = check_equivalence(law, law_context(*_outcome_instance(instance)))
+    assert (report.verdict, report.statement_values, report.details, report.notes) == (
+        verdict, values, details, notes)
+    assert (report.witness is not None) == has_witness
+    assert log == calls
 
 
 @pytest.mark.parametrize("law", [LawId.T32, LawId.C33, LawId.T34, LawId.C35,
