@@ -133,10 +133,6 @@ class LawContext:
         return Matrix.identity(self.a.rows, self.a.domain)
 
     @cached_property
-    def zero(self) -> Matrix:
-        return Matrix.zeros(self.a.rows, self.a.cols, self.a.domain)
-
-    @cached_property
     def ab(self) -> Matrix:
         return self.a @ self.b
 
@@ -405,9 +401,6 @@ class LawSpec:
     sampled: Optional[SampledStatement] = None
     weight_fixes_ab: bool = False  # generated weights also satisfy c ab = ab (T38/T39)
 
-    def is_sampled(self, stmt: str) -> bool:
-        return self.sampled is not None and self.sampled.stmt == stmt
-
 
 def _statements(*evaluators) -> dict:
     return dict(zip(("i", "ii", "iii", "iv"), evaluators))
@@ -503,9 +496,8 @@ def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
     check_statement_id(law, stmt)
     check_hypotheses(law, ctx)
     spec = LAWS[law]
-    if spec.is_sampled(stmt):
-        return inclusion_holds(spec.sampled, ctx)
-    return spec.statements[stmt](ctx)
+    evaluate = spec.statements[stmt]
+    return inclusion_holds(spec.sampled, ctx) if evaluate is None else evaluate(ctx)
 
 
 def _k_inverses(ctx: LawContext, ks, xa, xb):
@@ -631,14 +623,17 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Evaluate every statement of the law and compare truth values.
 
-    Exact statements are computed directly and a quantified statement is
-    decided by inclusion_holds.  Random draws only search for a witness
-    against the inclusion: `falsify_samples` draws run first when the
-    exact statements are false, and `samples` draws run when they are
-    true but the inclusion fails.  A failing inclusion whose draws find
-    nothing gets a witness from basis matrices.  A zero target product
-    (e.g. ab = 0) makes every membership trivial; such instances are
-    reported as equivalent with a note."""
+    The verdict is EQUIVALENT iff all statement values agree.  Exact
+    statements are computed directly.  A set inclusion is None when the
+    exact statements disagree, and True when its target product is zero
+    (e.g. ab = 0), which makes every membership trivial and adds a note.
+    Otherwise inclusion_holds decides it, and random draws only search
+    for a witness against it: when the exact statements are false,
+    `falsify_samples` draws run before the decider, and the decider runs
+    only if they find nothing; when the exact statements hold, the
+    decider runs first, and `samples` draws follow only if it finds the
+    inclusion false.  A failing inclusion whose draws find nothing gets
+    a witness from basis matrices."""
     check_draw_counts(samples, falsify_samples)
     try:
         check_hypotheses(law, ctx)
@@ -649,36 +644,27 @@ def check_equivalence(
     spec = LAWS[law]
     sampled = spec.sampled
     values = {stmt: fn(ctx) for stmt, fn in spec.statements.items() if fn is not None}
-    exact_values = set(values.values())
+    exact = set(values.values())
     witness = notes = details = None
-    if sampled is None:
-        verdict = EQUIVALENT if len(exact_values) == 1 else VIOLATION
-    elif len(exact_values) > 1:
-        values[sampled.stmt] = None
-        verdict = VIOLATION
-    elif sampled.target(ctx).is_zero():
-        values[sampled.stmt] = True
-        notes = "target product is zero; every candidate is trivially a K-inverse"
-        verdict = EQUIVALENT if exact_values.pop() else VIOLATION
-    elif exact_values.pop():
-        values[sampled.stmt] = inclusion_holds(sampled, ctx)
-        verdict = EQUIVALENT if values[sampled.stmt] else VIOLATION
-        if verdict == VIOLATION:
-            sv = inclusion_statement_sampled(law, ctx, samples, seed)
-            if sv.all_passed:
-                witness = _basis_witness(sampled, ctx)
-                details = "exact statements hold but a basis-matrix product broke the inclusion"
-            else:
-                witness = sv.witness
-                details = f"exact statements hold but sample {sv.tested} broke the inclusion"
-    else:
-        sv = inclusion_statement_sampled(law, ctx, falsify_samples, seed)
-        values[sampled.stmt] = sv.all_passed and inclusion_holds(sampled, ctx)
-        if values[sampled.stmt]:
-            verdict = VIOLATION
+    if sampled is not None:
+        if len(exact) > 1:
+            values[sampled.stmt] = None
+        elif sampled.target(ctx).is_zero():
+            values[sampled.stmt] = True
+            notes = "target product is zero; every candidate is trivially a K-inverse"
         else:
-            verdict = EQUIVALENT
-            witness = sv.witness if not sv.all_passed else _basis_witness(sampled, ctx)
+            exact_hold = exact.pop()
+            draws = None if exact_hold else inclusion_statement_sampled(
+                law, ctx, falsify_samples, seed)
+            holds = (draws is None or draws.all_passed) and inclusion_holds(sampled, ctx)
+            values[sampled.stmt] = holds
+            if not holds:
+                if exact_hold:
+                    draws = inclusion_statement_sampled(law, ctx, samples, seed)
+                    broke = f"sample {draws.tested}" if draws.witness else "a basis-matrix product"
+                    details = f"exact statements hold but {broke} broke the inclusion"
+                witness = draws.witness or _basis_witness(sampled, ctx)
+    verdict = EQUIVALENT if len(set(values.values())) == 1 else VIOLATION
     if verdict == VIOLATION and details is None:
         details = "statement values disagree: " + ", ".join(
             f"({k})={v}" for k, v in sorted(values.items()))
