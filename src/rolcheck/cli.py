@@ -41,10 +41,6 @@ EXIT_OK = 0
 EXIT_FOUND = 1
 EXIT_INPUT = 3
 
-_SAMPLES_HELP = "draws of the witness search when the exact statements hold (>= 1)"
-_FALSIFY_HELP = "draws of the witness search when the exact statements fail (>= 1)"
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad flags; every input error exits 3 here.
     def error(self, message):
@@ -109,8 +105,14 @@ def _add_common(parser):
         default="commutant",
         help="identity | scalar | scalar:<value> | commutant",
     )
-    parser.add_argument("--samples", type=int, default=200, help=_SAMPLES_HELP)
-    parser.add_argument("--falsify-samples", type=int, default=500, help=_FALSIFY_HELP)
+    _add_draw_budgets(parser)
+
+
+def _add_draw_budgets(parser):
+    parser.add_argument("--samples", type=int, default=200,
+                        help="draws of the witness search when the exact statements hold (>= 1)")
+    parser.add_argument("--falsify-samples", type=int, default=500,
+                        help="draws of the witness search when the exact statements fail (>= 1)")
 
 
 def _build_spec(args, domain) -> InstanceSpec:
@@ -163,8 +165,7 @@ def build_parser() -> _Parser:
     p_check.add_argument("--lambda", dest="lam", default=None,
                          help="scalar weight (builds c = lambda * identity)")
     p_check.add_argument("--stmt", default=None)
-    p_check.add_argument("--samples", type=int, default=200, help=_SAMPLES_HELP)
-    p_check.add_argument("--falsify-samples", type=int, default=500, help=_FALSIFY_HELP)
+    _add_draw_budgets(p_check)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json", dest="json_out", default=None)
     p_check.set_defaults(run=_cmd_law_check)
