@@ -104,6 +104,25 @@ def test_greville_witness_instance():
     assert report.verdict == EQUIVALENT
 
 
+def test_greville_converse_instance_over_f5():
+    # (ab)+ = b+a+ holds here, yet the commutation statements of GREVILLE
+    # and KOLIHA_DC fail.  The transpose on F_5 is not a proper involution
+    # (x*x = 0 for some x != 0), which the converse may need.
+    f5 = prime_field(5)
+    a = Matrix.from_rows([[1, 1, 2], [0, 0, 0], [4, 4, 3]], f5)
+    b = Matrix.from_rows([[2, 1, 3], [4, 2, 1], [3, 4, 2]], f5)
+    assert mp_exists(a) and mp_exists(b)
+    ctx = law_context(a, b, Matrix.identity(3, f5))
+    assert is_k_inverse(ctx.ab, ctx.b_dag @ ctx.a_dag, {1, 2, 3, 4})
+    assert law_statement(LawId.GREVILLE, "i", ctx) is True
+    assert ctx.r @ ctx.s != ctx.s @ ctx.r
+    assert not (ctx.q_dag @ ctx.p).is_hermitian()
+    assert ctx.s @ ctx.b @ ctx.b_star @ ctx.a_star != ctx.b @ ctx.b_star @ ctx.a_star
+    x = Matrix.from_rows([[1], [2], [0]], f5)
+    assert not x.is_zero() and (x.star() @ x).is_zero()
+    assert not f5.mp_always_exists
+
+
 def test_c27_witness_lambda_two():
     a, b = _witness_pair()
     lam2 = Matrix.identity(2, G).scale(2)
