@@ -11,7 +11,11 @@ Ranks, factorizations, kernels and inverses all go through `rref`, which
 hands the elimination to the domain's exact kernel
 (`ScalarDomain.row_reduce`): fraction-free Gauss-Jordan on Gaussian
 integers for Q(i), Gauss-Jordan on ints mod p for F_p.  The RREF is
-unique, so the kernel choice never changes a result.
+unique, so the kernel choice never changes a result.  Products (`@`) go
+to the domain's `ScalarDomain.matmul` in the same way: integer dot
+products of rows and columns scaled to Gaussian integers for Q(i), plain
+int dot products reduced once per entry for F_p.  Both build scalars only
+for the result, in canonical form, so they equal the textbook loop.
 """
 
 from __future__ import annotations
@@ -96,23 +100,16 @@ class Matrix:
         return Matrix(self.rows, self.cols, self.domain, [-x for x in self.entries])
 
     def __matmul__(self, other):
+        """Matrix product by the domain's exact kernel, `ScalarDomain.matmul`:
+        integer dot products over Gaussian integers for Q(i), plain ints
+        reduced mod p for F_p."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_domain(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        zero = self.domain.zero()
         n, k, m = self.rows, self.cols, other.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            row = a[i * k : (i + 1) * k]
-            for j in range(m):
-                acc = zero
-                for t in range(k):
-                    acc = acc + row[t] * b[t * m + j]
-                out.append(acc)
-        return Matrix(n, m, self.domain, out)
+        return Matrix(n, m, self.domain, self.domain.matmul(self.entries, other.entries, n, k, m))
 
     def scale(self, coeff):
         coeff = self.domain.coerce(coeff)

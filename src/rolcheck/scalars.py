@@ -13,6 +13,7 @@ domain and are accepted for convenience.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -341,6 +342,12 @@ class ScalarDomain:
         returns the same rows."""
         raise NotImplementedError
 
+    def matmul(self, a, b, n, k, m):
+        """Entries of the n x m product of the n x k and k x m matrices whose
+        row-major entries are a and b.  Each is the exact sum of products,
+        so every kernel returns the entries the textbook loop gives."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"<ScalarDomain {self.name}>"
 
@@ -422,9 +429,9 @@ class GaussianRationalDomain(ScalarDomain):
         each pivot row is divided by its pivot."""
         re_rows, im_rows = [], []
         for row in rows:
-            den = math.lcm(*(z.den for z in row))
-            re_rows.append([z.re_num * (den // z.den) for z in row])
-            im_rows.append([z.im_num * (den // z.den) for z in row])
+            re_row, im_row, _ = _gaussian_integers(row)
+            re_rows.append(re_row)
+            im_rows.append(im_row)
         nrows = len(rows)
         ncols = len(rows[0]) if nrows else 0
         pivots = []
@@ -465,6 +472,29 @@ class GaussianRationalDomain(ScalarDomain):
             out.append([raw(a * dr + b * di, b * dr - a * di, dn) if a or b else zero
                         for a, b in zip(xr, xi)])
         return out, tuple(pivots)
+
+    def matmul(self, a, b, n, k, m):
+        """Dot products of Gaussian integers.
+
+        Each row of a and each column of b is scaled to Gaussian integers by
+        the lcm of its denominators.  Entry (i, j) accumulates the integer
+        real and imaginary parts over the nonzero entries of row i, and one
+        `GaussianRational._raw` over the product of the two denominators
+        puts it in canonical form."""
+        raw = GaussianRational._raw
+        cols = [_gaussian_integers(b[j::m]) for j in range(m)]
+        out = []
+        for i in range(n):
+            xr, xi, x_den = _gaussian_integers(a[i * k : (i + 1) * k])
+            nonzero = [(t, xr[t], xi[t]) for t in range(k) if xr[t] or xi[t]]
+            for yr, yi, y_den in cols:
+                re = im = 0
+                for t, ar, ai in nonzero:
+                    br, bi = yr[t], yi[t]
+                    re += ar * br - ai * bi
+                    im += ar * bi + ai * br
+                out.append(raw(re, im, x_den * y_den))
+        return out
 
     def __eq__(self, other):
         return isinstance(other, GaussianRationalDomain)
@@ -542,11 +572,31 @@ class PrimeFieldDomain(ScalarDomain):
         element = {v: PrimeFieldElement(v, p) for v in {v for row in m for v in row}}
         return [[element[v] for v in row] for row in m], tuple(pivots)
 
+    def matmul(self, a, b, n, k, m):
+        """Dot products of plain ints, reduced mod p once per entry;
+        elements are built one per distinct value."""
+        p = self.p
+        cols = [[z.value for z in b[j::m]] for j in range(m)]
+        values = []
+        for i in range(n):
+            row = [z.value for z in a[i * k : (i + 1) * k]]
+            values.extend(sum(map(operator.mul, row, col)) % p for col in cols)
+        element = {v: PrimeFieldElement(v, p) for v in set(values)}
+        return [element[v] for v in values]
+
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p
 
     def __hash__(self):
         return hash((self.name, self.p))
+
+
+def _gaussian_integers(values):
+    """(real parts, imaginary parts, lcm of the denominators) of Gaussian
+    rationals scaled by that lcm; the parts are plain ints."""
+    den = math.lcm(*(z.den for z in values))
+    return ([z.re_num * (den // z.den) for z in values],
+            [z.im_num * (den // z.den) for z in values], den)
 
 
 def _format_fraction(f: Fraction) -> str:
