@@ -70,7 +70,11 @@ def _parse_law(text) -> LawId:
 
 def _load_matrix(path) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
-        return matrix_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+    return matrix_from_json(obj)
 
 
 def _emit_json(obj, path):

@@ -195,12 +195,17 @@ def _one_by_one(**fields):
     _one_by_one(domain={"prime_field": "5"}),
     _one_by_one(entries=[["1/0"]]),
     _one_by_one(entries=[["1/0i"]]),
+    "[" * 100_000,
 ], ids=["int-entry", "null-entry", "string-entries", "string-row", "bool-rows",
         "bool-cols", "float-rows", "bool-prime", "string-prime", "zero-den",
-        "zero-den-imag"])
+        "zero-den-imag", "deep-nesting"])
 def test_malformed_matrix_file_exits_3(tmp_path, obj):
+    """obj is the matrix JSON, or the text of the file when a string."""
     f = tmp_path / "bad.json"
-    write_matrix(f, obj)
+    if isinstance(obj, str):
+        f.write_text(obj, encoding="utf-8")
+    else:
+        write_matrix(f, obj)
     result = run_cli(["mp", "--in", str(f)])
     assert result.returncode == 3, result.stderr
     assert "Traceback" not in result.stderr

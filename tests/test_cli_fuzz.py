@@ -1,8 +1,8 @@
 """In-process fuzz of the CLI on malformed matrix JSON.
 
 Each case starts from valid square matrices, breaks exactly one input
-(its JSON text, a key, the domain tag, the shape, the entry structure or
-one scalar literal) and runs `mp`, `groupinv`, `kcheck` or `law check`
+(its JSON text, its nesting depth, a key, the domain tag, the shape, the
+entry structure or one scalar literal) and runs `mp`, `groupinv`, `kcheck` or `law check`
 through cli.main.  Every case must exit 3 with a one-line message on
 stderr and no traceback.
 """
@@ -54,10 +54,13 @@ def _broken(draw, matrix):
     obj = json.loads(json.dumps(matrix))
     n = obj["rows"]
     how = draw(st.sampled_from(
-        ["text", "top", "key", "domain", "shape", "entries", "row", "entry", "literal"]))
+        ["text", "deep", "top", "key", "domain", "shape", "entries", "row", "entry", "literal"]))
     if how == "text":
         # Shorter than the smallest valid matrix object, so never valid.
         return draw(st.text(max_size=20))
+    if how == "deep":
+        # Deeper than the JSON decoder's recursion limit.
+        return "[" * draw(st.integers(10_000, 100_000))
     if how == "top":
         obj = draw(st.sampled_from([None, 3, "m", [], [obj]]))
     elif how == "key":
