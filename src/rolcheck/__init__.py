@@ -17,7 +17,6 @@ from .errors import (
     InvalidSpec,
     NoMPInverse,
     NotGroupInvertible,
-    NotIdempotent,
     RolcheckError,
     Singular,
 )
@@ -26,45 +25,34 @@ from .scalars import (
     GaussianRational,
     PrimeFieldDomain,
     PrimeFieldElement,
-    Rational,
     ScalarDomain,
     prime_field,
-    scalar_conj,
-    scalar_inv,
 )
 from .matrices import (
     Matrix,
     RankFactorization,
     inverse,
-    mat_mul,
     matrix_from_json,
     matrix_to_json,
     nullspace_basis,
     rank,
     rank_factorization,
     rref,
-    star,
 )
 from .geninv import (
-    PenroseReport,
     commutes_with_pair,
     group_inverse,
     mp_exists,
     mp_inverse,
     mp_via_star_group,
-    penrose_residuals,
+    penrose_equations,
     prop21_check,
 )
 from .peirce import (
-    ParamContext13,
-    PeirceBlocks,
     is_k_inverse,
-    param_context_13,
-    peirce_blocks,
     sample_13_inverse,
     sample_14_inverse,
     sample_commutant,
-    structured_13_blocks,
 )
 from .laws import (
     EQUIVALENT,
@@ -77,7 +65,6 @@ from .laws import (
     check_equivalence,
     inclusion_holds,
     inclusion_statement_sampled,
-    law_context,
     law_statement,
     variant_context,
 )

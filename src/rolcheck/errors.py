@@ -29,10 +29,6 @@ class NotGroupInvertible(RolcheckError):
     """rank(a^2) < rank(a), so no group inverse exists."""
 
 
-class NotIdempotent(RolcheckError):
-    """A matrix required to satisfy p*p = p does not."""
-
-
 class EmptyK(RolcheckError):
     """K-inverse membership with K = {} is rejected rather than vacuously true."""
 

@@ -19,27 +19,8 @@ square matrix; it exists iff rank(a^2) = rank(a).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionMismatch, NoMPInverse, NotGroupInvertible, Singular
 from .matrices import Matrix, inverse, rank, rank_factorization
-
-
-@dataclass(frozen=True)
-class PenroseReport:
-    """Exact truth of each Penrose equation for a candidate pair (a, b)."""
-
-    eq1_holds: bool
-    eq2_holds: bool
-    eq3_holds: bool
-    eq4_holds: bool
-
-    def holds(self, ks) -> bool:
-        flags = {1: self.eq1_holds, 2: self.eq2_holds, 3: self.eq3_holds, 4: self.eq4_holds}
-        return all(flags[k] for k in ks)
-
-    def all_hold(self) -> bool:
-        return self.eq1_holds and self.eq2_holds and self.eq3_holds and self.eq4_holds
 
 
 def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
@@ -59,11 +40,6 @@ def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
         4: lambda: ba.is_hermitian(),
     }
     return {k: equations[k]() for k in sorted(ks)}
-
-
-def penrose_residuals(a: Matrix, b: Matrix) -> PenroseReport:
-    """Evaluate all four Penrose equations exactly."""
-    return PenroseReport(*penrose_equations(a, b, (1, 2, 3, 4)).values())
 
 
 def _macduffee(a: Matrix):

@@ -174,9 +174,6 @@ class LawContext:
         return self.e - self.p
 
 
-law_context = LawContext
-
-
 def variant_context(ctx: LawContext, variant: LawId) -> LawContext:
     """The substituted instance that reduces T24/T25/T26 to T23.
 

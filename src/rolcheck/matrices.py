@@ -161,14 +161,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.domain.name}: {self})"
 
 
-def star(a: Matrix) -> Matrix:
-    return a.star()
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
-
-
 def rref(a: Matrix):
     """Reduced row echelon form with first-nonzero pivoting.
 

@@ -20,10 +20,6 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, DomainMismatch
 
-# fractions.Fraction already enforces the canonical form needed here:
-# reduced, positive denominator, zero stored as 0/1.
-Rational = Fraction
-
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
@@ -275,16 +271,6 @@ class PrimeFieldElement:
 
     def __repr__(self):
         return f"PrimeFieldElement({self.value}, {self.modulus})"
-
-
-def scalar_conj(x):
-    """Involution on scalars: complex conjugation on Q(i), identity on F_p."""
-    return x.conj()
-
-
-def scalar_inv(x):
-    """Exact multiplicative inverse; raises DivisionByZero on x == 0."""
-    return x.inv()
 
 
 def _parse_fraction(text):

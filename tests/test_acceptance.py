@@ -23,6 +23,7 @@ from rolcheck import (
     EQUIVALENT,
     GAUSSIAN_RATIONAL,
     InstanceSpec,
+    LawContext,
     LawId,
     Matrix,
     NoMPInverse,
@@ -30,12 +31,10 @@ from rolcheck import (
     commutes_with_pair,
     gen_instance,
     is_k_inverse,
-    law_context,
     law_statement,
     mp_exists,
     mp_inverse,
     mp_via_star_group,
-    penrose_residuals,
     prime_field,
     prop21_check,
     rank,
@@ -83,7 +82,7 @@ def test_criterion_01_penrose_oracle():
     instances = _mixed_instances(500, MASTER_SEED)
     for a in instances:
         a_dag = mp_inverse(a)
-        assert penrose_residuals(a, a_dag).all_hold()
+        assert is_k_inverse(a, a_dag, {1, 2, 3, 4})
         assert mp_via_star_group(a) == a_dag
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0, f"criterion 1 too slow: {elapsed:.1f}s"
@@ -158,7 +157,7 @@ def test_criterion_05_section2_variants(law):
         for trial in range(trials):
             gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
             a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
-            ctx = law_context(a, b, c)
+            ctx = LawContext(a, b, c)
             report = check_equivalence(law, ctx, seed=sample_seed)
             assert report.verdict == EQUIVALENT, (law, trial, report.statement_values)
             if law != LawId.C27:
@@ -178,12 +177,12 @@ def test_criterion_06_c27_concrete_witness():
     b = Matrix.from_rows([["1", "1"], ["1", "1"]], G)
     e = Matrix.identity(2, G)
 
-    plain = law_context(a, b, e)
+    plain = LawContext(a, b, e)
     values_plain = {s: law_statement(LawId.C27, s, plain) for s in ("i", "ii", "iii")}
     assert values_plain == {"i": False, "ii": False, "iii": False}
     assert law_statement(LawId.GREVILLE, "i", plain) is False
 
-    lam2 = law_context(a, b, e.scale(2))
+    lam2 = LawContext(a, b, e.scale(2))
     values_lam2 = {s: law_statement(LawId.C27, s, lam2) for s in ("i", "ii", "iii")}
     assert values_lam2 == {"i": True, "ii": True, "iii": True}
 
@@ -218,7 +217,7 @@ def _run_inclusion_criterion(num, laws, forced_rank, seed_base, label):
         for spec, trial in trial_plans:
             gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
             a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
-            ctx = law_context(a, b, c)
+            ctx = LawContext(a, b, c)
             report = check_equivalence(
                 law, ctx, samples=200, seed=sample_seed, falsify_samples=500
             )

@@ -7,11 +7,11 @@ from rolcheck import (
     GAUSSIAN_RATIONAL,
     InstanceSpec,
     InvalidSpec,
+    LawContext,
     LawId,
     Matrix,
     commutes_with_pair,
     gen_instance,
-    law_context,
     law_statement,
     matrix_from_json,
     prime_field,
@@ -111,7 +111,7 @@ def test_run_suite_greville_sees_both_truth_values():
     for trial in range(60):
         gen_seed, _ = _trial_seeds(57, trial)
         a, b, c = gen_instance(replace(spec, seed=gen_seed), LawId.GREVILLE)
-        seen.add(law_statement(LawId.GREVILLE, "i", law_context(a, b, c)))
+        seen.add(law_statement(LawId.GREVILLE, "i", LawContext(a, b, c)))
     assert seen == {True, False}
 
 
@@ -138,7 +138,7 @@ def test_search_finds_greville_failure_and_replays():
     a = matrix_from_json(witness["a"])
     b = matrix_from_json(witness["b"])
     c = matrix_from_json(witness["c"])
-    assert law_statement(LawId.GREVILLE, "i", law_context(a, b, c)) is False
+    assert law_statement(LawId.GREVILLE, "i", LawContext(a, b, c)) is False
 
 
 def test_search_no_violation_of_theorem():

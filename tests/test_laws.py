@@ -15,6 +15,7 @@ from rolcheck import (
     HYPOTHESIS_NOT_MET,
     HypothesisNotMet,
     InstanceSpec,
+    LawContext,
     LawId,
     Matrix,
     NoMPInverse,
@@ -23,7 +24,6 @@ from rolcheck import (
     gen_instance,
     inclusion_statement_sampled,
     is_k_inverse,
-    law_context,
     law_statement,
     mp_exists,
     mp_inverse,
@@ -48,15 +48,15 @@ def _instances(law, count, seed, size=3, weight="commutant", **kw):
     for trial in range(count):
         gen_seed, sample_seed = _trial_seeds(seed, trial)
         a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
-        yield law_context(a, b, c), sample_seed
+        yield LawContext(a, b, c), sample_seed
 
 
 def test_law_context_trivial_and_projection():
     e = Matrix.identity(2, G)
-    ctx = law_context(e, e, e)
+    ctx = LawContext(e, e, e)
     assert ctx.p == e and ctx.q == e and ctx.r == e and ctx.s == e
     a = Matrix.from_rows([[1, 0], [0, 0]], G)
-    ctx = law_context(a, e, e)
+    ctx = LawContext(a, e, e)
     assert ctx.s == a  # a+ a for this projection is a itself
     assert ctx.q == a
 
@@ -82,7 +82,7 @@ def test_q_and_r_inverses_are_the_blanket_products(domain):
         for seed in range(10):
             spec = InstanceSpec(domain=domain, size=size, seed=seed)
             try:
-                ctx = law_context(*gen_instance(spec))
+                ctx = LawContext(*gen_instance(spec))
             except NoMPInverse:
                 continue
             built += 1
@@ -95,7 +95,7 @@ def test_q_and_r_inverses_are_the_blanket_products(domain):
 
 def test_greville_witness_instance():
     a, b = _witness_pair()
-    ctx = law_context(a, b, Matrix.identity(2, G))
+    ctx = LawContext(a, b, Matrix.identity(2, G))
     assert mp_inverse(a @ b) == Matrix.from_rows([["1/2", 0], ["1/2", 0]], G)
     assert ctx.b_dag @ ctx.a_dag == Matrix.from_rows([["1/4", 0], ["1/4", 0]], G)
     assert law_statement(LawId.GREVILLE, "i", ctx) is False
@@ -112,7 +112,7 @@ def test_greville_converse_instance_over_f5():
     a = Matrix.from_rows([[1, 1, 2], [0, 0, 0], [4, 4, 3]], f5)
     b = Matrix.from_rows([[2, 1, 3], [4, 2, 1], [3, 4, 2]], f5)
     assert mp_exists(a) and mp_exists(b)
-    ctx = law_context(a, b, Matrix.identity(3, f5))
+    ctx = LawContext(a, b, Matrix.identity(3, f5))
     assert is_k_inverse(ctx.ab, ctx.b_dag @ ctx.a_dag, {1, 2, 3, 4})
     assert law_statement(LawId.GREVILLE, "i", ctx) is True
     assert ctx.r @ ctx.s != ctx.s @ ctx.r
@@ -126,11 +126,11 @@ def test_greville_converse_instance_over_f5():
 def test_c27_witness_lambda_two():
     a, b = _witness_pair()
     lam2 = Matrix.identity(2, G).scale(2)
-    ctx = law_context(a, b, lam2)
+    ctx = LawContext(a, b, lam2)
     values = {s: law_statement(LawId.C27, s, ctx) for s in ("i", "ii", "iii")}
     assert values == {"i": True, "ii": True, "iii": True}
     # lambda = 1 is the plain reverse order law, false on this witness
-    ctx1 = law_context(a, b, Matrix.identity(2, G))
+    ctx1 = LawContext(a, b, Matrix.identity(2, G))
     values1 = {s: law_statement(LawId.C27, s, ctx1) for s in ("i", "ii", "iii")}
     assert values1 == {"i": False, "ii": False, "iii": False}
     assert check_equivalence(LawId.C27, ctx).verdict == EQUIVALENT
@@ -141,7 +141,7 @@ def test_c27_rejects_non_scalar_weight():
     a, b = _witness_pair()
     c = Matrix.from_rows([[1, 0], [0, 2]], G)
     with pytest.raises(HypothesisNotMet):
-        law_statement(LawId.C27, "i", law_context(a, b, c))
+        law_statement(LawId.C27, "i", LawContext(a, b, c))
 
 
 @pytest.mark.parametrize("law", [LawId.T23, LawId.T24, LawId.T25, LawId.T26])
@@ -174,7 +174,7 @@ def test_variant_blanket_element_identities():
 
 def test_variant_context_rejects_other_laws():
     a, b = _witness_pair()
-    ctx = law_context(a, b, Matrix.identity(2, G))
+    ctx = LawContext(a, b, Matrix.identity(2, G))
     with pytest.raises(ValueError):
         variant_context(ctx, LawId.T23)
 
@@ -196,7 +196,7 @@ def test_greville_truth_is_scale_invariant():
     for ctx, _ in _instances(LawId.GREVILLE, 15, seed=39, weight="identity", size=2):
         mu = Fraction(rng.randint(1, 5), rng.choice((1, 2, 3)))
         nu = Fraction(-rng.randint(1, 5), rng.choice((1, 2, 3)))
-        scaled = law_context(ctx.a.scale(mu), ctx.b.scale(nu), ctx.c)
+        scaled = LawContext(ctx.a.scale(mu), ctx.b.scale(nu), ctx.c)
         for stmt in ("i", "ii"):
             assert law_statement(LawId.GREVILLE, stmt, ctx) == law_statement(
                 LawId.GREVILLE, stmt, scaled
@@ -205,21 +205,21 @@ def test_greville_truth_is_scale_invariant():
 
 def test_sampled_statement_decided_exactly():
     a, b = _witness_pair()
-    ctx = law_context(a, b, Matrix.identity(2, G))
+    ctx = LawContext(a, b, Matrix.identity(2, G))
     assert law_statement(LawId.T32, "i", ctx) is False
-    assert law_statement(LawId.T32, "i", law_context(a, a, ctx.c)) is True
+    assert law_statement(LawId.T32, "i", LawContext(a, a, ctx.c)) is True
     with pytest.raises(ValueError):
         law_statement(LawId.T23, "iv", ctx)
     # an unknown statement is rejected before any hypothesis is checked
     with pytest.raises(ValueError):
-        law_statement(LawId.T23, "iv", law_context(a, b, Matrix.from_rows([[0, 1], [0, 0]], G)))
+        law_statement(LawId.T23, "iv", LawContext(a, b, Matrix.from_rows([[0, 1], [0, 0]], G)))
 
 
 def test_t32_confirmation_path():
     # invertible b with identity weight makes statement (ii) true
     spec = InstanceSpec(domain=G, size=3, rank_b=3, weight_mode="identity", seed=40)
     a, b, c = gen_instance(spec, LawId.T32)
-    ctx = law_context(a, b, c)
+    ctx = LawContext(a, b, c)
     assert law_statement(LawId.T32, "ii", ctx) is True
     verdict = inclusion_statement_sampled(LawId.T32, ctx, samples=50, seed=41)
     assert verdict.all_passed and verdict.tested == 50
@@ -230,7 +230,7 @@ def test_t32_confirmation_path():
 
 def test_t32_falsification_path_finds_witness():
     a, b = _witness_pair()
-    ctx = law_context(a, b, Matrix.identity(2, G))
+    ctx = LawContext(a, b, Matrix.identity(2, G))
     assert law_statement(LawId.T32, "ii", ctx) is False
     verdict = inclusion_statement_sampled(LawId.T32, ctx, samples=500, seed=42)
     assert not verdict.all_passed
@@ -247,7 +247,7 @@ def test_t32_falsification_path_finds_witness():
 def test_trivial_zero_product_is_flagged():
     zero = Matrix.zeros(2, 2, G)
     b = Matrix.from_rows([[1, 1], [1, 1]], G)
-    ctx = law_context(zero, b, Matrix.identity(2, G))
+    ctx = LawContext(zero, b, Matrix.identity(2, G))
     report = check_equivalence(LawId.T32, ctx, seed=43)
     assert report.verdict == EQUIVALENT
     assert report.notes is not None
@@ -318,7 +318,7 @@ def test_check_equivalence_outcomes(monkeypatch, case):
 
     monkeypatch.setattr(rolcheck.laws, "inclusion_statement_sampled", logged_draws)
     monkeypatch.setattr(rolcheck.laws, "inclusion_holds", logged_decide)
-    report = check_equivalence(law, law_context(*_outcome_instance(instance)))
+    report = check_equivalence(law, LawContext(*_outcome_instance(instance)))
     assert (report.verdict, report.statement_values, report.details, report.notes) == (
         verdict, values, details, notes)
     assert (report.witness is not None) == has_witness
@@ -344,7 +344,7 @@ def test_four_way_equivalences_hold(law):
 def test_t38_hypothesis_gate_names_failure():
     a, b = _witness_pair()
     c = Matrix.identity(2, G).scale(2)  # commutes but 2ab != ab
-    ctx = law_context(a, b, c)
+    ctx = LawContext(a, b, c)
     with pytest.raises(HypothesisNotMet) as err:
         law_statement(LawId.T38, "i", ctx)
     assert "cab = ab" in str(err.value)
@@ -363,7 +363,7 @@ def test_four_way_invertibility_hypotheses_can_fail(law, a, b, hypothesis):
     # a+, b+ and (ab)+ exist over F_3, yet abb+ or a+ab has no
     # Moore-Penrose inverse, so these hypotheses are not implied.
     f3 = prime_field(3)
-    ctx = law_context(Matrix.from_rows(a, f3), Matrix.from_rows(b, f3), Matrix.identity(3, f3))
+    ctx = LawContext(Matrix.from_rows(a, f3), Matrix.from_rows(b, f3), Matrix.identity(3, f3))
     assert mp_exists(ctx.ab)
     assert check_equivalence(law, ctx).to_json_dict() == {
         "law": law.value, "verdict": HYPOTHESIS_NOT_MET, "statement_values": {},
@@ -377,7 +377,7 @@ def test_t37_regression_abc_nonzero():
     a = Matrix.identity(3, G)
     b = Matrix.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 0]], G)
     c = Matrix.from_rows([[1, 0, 0], [0, 0, 0], [0, 0, 0]], G)
-    ctx = law_context(a, b, c)
+    ctx = LawContext(a, b, c)
     assert not ctx.abc.is_zero()
     report = check_equivalence(LawId.T37, ctx)
     assert report.verdict == EQUIVALENT, report.details
@@ -388,7 +388,7 @@ def test_t37_regression_f5_seed_103():
     # abc = 0 but ab != 0: statement (i) holds on the zero target, and so
     # must (ii).
     spec = InstanceSpec(domain=prime_field(5), size=3, weight_mode="commutant", seed=103)
-    ctx = law_context(*gen_instance(spec, LawId.T37))
+    ctx = LawContext(*gen_instance(spec, LawId.T37))
     assert ctx.abc.is_zero() and not ctx.ab.is_zero()
     report = check_equivalence(LawId.T37, ctx)
     assert report.verdict == EQUIVALENT, report.details
@@ -399,7 +399,7 @@ def test_commutation_hypothesis_gate():
     a = Matrix.from_rows([[1, 1], [0, 1]], G)
     b = Matrix.from_rows([[1, 0], [1, 1]], G)
     c = Matrix.from_rows([[0, 1], [0, 0]], G)  # commutes with neither side
-    ctx = law_context(a, b, c)
+    ctx = LawContext(a, b, c)
     with pytest.raises(HypothesisNotMet):
         law_statement(LawId.T23, "i", ctx)
     with pytest.raises(HypothesisNotMet):

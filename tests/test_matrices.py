@@ -12,14 +12,12 @@ from rolcheck import (
     Matrix,
     Singular,
     inverse,
-    mat_mul,
     matrix_from_json,
     matrix_to_json,
     nullspace_basis,
     prime_field,
     rank,
     rank_factorization,
-    star,
 )
 from rolcheck.matrices import random_matrix
 
@@ -36,9 +34,9 @@ shapes = st.tuples(st.integers(1, 4), st.integers(1, 4))
 
 def test_star_examples():
     i2 = Matrix.identity(2, G)
-    assert star(i2) == i2
+    assert i2.star() == i2
     a = Matrix.from_rows([[G.parse("i"), 0], [0, 0]], G)
-    assert star(a) == Matrix.from_rows([[G.parse("-1i"), 0], [0, 0]], G)
+    assert a.star() == Matrix.from_rows([[G.parse("-1i"), 0], [0, 0]], G)
 
 
 @settings(max_examples=40)
@@ -46,14 +44,14 @@ def test_star_examples():
 def test_star_is_anti_automorphism(seed):
     a = _rand(G, 3, 2, seed)
     b = _rand(G, 2, 4, seed + 1)
-    assert star(star(a)) == a
-    assert star(a @ b) == star(b) @ star(a)
+    assert a.star().star() == a
+    assert (a @ b).star() == b.star() @ a.star()
 
 
 def test_mat_mul_examples():
     a = Matrix.from_rows([[1, 1], [0, 0]], G)
     b = Matrix.from_rows([[1, 0], [1, 0]], G)
-    assert mat_mul(a, b) == Matrix.from_rows([[2, 0], [0, 0]], G)
+    assert a @ b == Matrix.from_rows([[2, 0], [0, 0]], G)
     assert Matrix.identity(2, G) @ a == a
     assert Matrix.zeros(2, 2, G) @ a == Matrix.zeros(2, 2, G)
 
@@ -150,7 +148,7 @@ def test_rank_equals_rank_of_star():
     for domain in (G, F5):
         for _ in range(30):
             a = random_matrix(domain, rng.randint(1, 4), rng.randint(1, 4), rng)
-            assert rank(a) == rank(star(a))
+            assert rank(a) == rank(a.star())
 
 
 def test_rank_of_gram_matrix():
@@ -158,10 +156,10 @@ def test_rank_of_gram_matrix():
     rng = random.Random(7)
     for _ in range(30):
         a = random_matrix(G, rng.randint(1, 4), rng.randint(1, 4), rng)
-        assert rank(star(a) @ a) == rank(a)
+        assert rank(a.star() @ a) == rank(a)
     # over F_5 this fails: recorded instance with an isotropic column
     a = Matrix.from_rows([[1], [2]], F5)
-    assert rank(star(a) @ a) == 0 != rank(a)
+    assert rank(a.star() @ a) == 0 != rank(a)
 
 
 def test_zero_dimension_matrices():
@@ -169,9 +167,9 @@ def test_zero_dimension_matrices():
     g = Matrix.zeros(0, 3, G)
     prod = f @ g
     assert prod == Matrix.zeros(2, 3, G)
-    assert star(f).shape == (0, 2)
-    assert (g @ star(g)).shape == (0, 0)
-    assert inverse(g @ star(g)).shape == (0, 0)
+    assert f.star().shape == (0, 2)
+    assert (g @ g.star()).shape == (0, 0)
+    assert inverse(g @ g.star()).shape == (0, 0)
 
 
 def test_scale_and_add():

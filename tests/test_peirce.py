@@ -6,18 +6,13 @@ from rolcheck import (
     GAUSSIAN_RATIONAL,
     EmptyK,
     Matrix,
-    NotIdempotent,
     is_k_inverse,
     mp_inverse,
-    param_context_13,
-    peirce_blocks,
-    penrose_residuals,
+    penrose_equations,
     prime_field,
     sample_13_inverse,
     sample_14_inverse,
     sample_commutant,
-    star,
-    structured_13_blocks,
 )
 from rolcheck.geninv import commutes_with_pair
 from rolcheck.harness import random_matrix_of_rank
@@ -27,47 +22,6 @@ G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
 
 
-def test_peirce_blocks_degenerate_idempotents():
-    x = random_matrix(G, 2, 2, random.Random(20))
-    e = Matrix.identity(2, G)
-    z = Matrix.zeros(2, 2, G)
-    blocks = peirce_blocks(x, e, e)
-    assert blocks.x1 == x and blocks.x2.is_zero() and blocks.x3.is_zero() and blocks.x4.is_zero()
-    blocks = peirce_blocks(x, z, z)
-    assert blocks.x4 == x and blocks.x1.is_zero()
-
-
-def test_peirce_blocks_diagonal_projection():
-    x = Matrix.from_rows([[1, 2], [3, 4]], G)
-    p = Matrix.from_rows([[1, 0], [0, 0]], G)
-    blocks = peirce_blocks(x, p, p)
-    assert blocks.x1 == Matrix.from_rows([[1, 0], [0, 0]], G)
-    assert blocks.x2 == Matrix.from_rows([[0, 2], [0, 0]], G)
-    assert blocks.x3 == Matrix.from_rows([[0, 0], [3, 0]], G)
-    assert blocks.x4 == Matrix.from_rows([[0, 0], [0, 4]], G)
-
-
-def test_peirce_blocks_reassembly_from_projections():
-    rng = random.Random(21)
-    for _ in range(30):
-        n = rng.randint(1, 4)
-        u = random_matrix_of_rank(G, n, n, rng.randint(0, n), rng)
-        v = random_matrix_of_rank(G, n, n, rng.randint(0, n), rng)
-        p = u @ mp_inverse(u)
-        q = mp_inverse(v) @ v
-        x = random_matrix(G, n, n, rng)
-        assert peirce_blocks(x, p, q).reassemble() == x
-
-
-def test_peirce_blocks_rejects_non_idempotent():
-    x = Matrix.identity(2, G)
-    bad = Matrix.from_rows([[1, 1], [0, 1]], G)
-    with pytest.raises(NotIdempotent):
-        peirce_blocks(x, bad, x)
-    with pytest.raises(NotIdempotent):
-        peirce_blocks(x, x, bad)
-
-
 def test_is_k_inverse_examples():
     i2 = Matrix.identity(2, G)
     assert is_k_inverse(i2, i2, {1, 2, 3, 4})
@@ -75,8 +29,8 @@ def test_is_k_inverse_examples():
     assert is_k_inverse(a, Matrix.from_rows([["1/2", 0], ["1/2", 0]], G), {1, 2, 3, 4})
     # AX = [[2,0],[0,0]] is hermitian but AXA != A
     x = Matrix.from_rows([[1, 0], [1, 0]], G)
-    rep = penrose_residuals(a, x)
-    assert rep.eq3_holds and not rep.eq1_holds
+    eqs = penrose_equations(a, x, (1, 3))
+    assert eqs[3] and not eqs[1]
     assert not is_k_inverse(a, x, {1, 3})
     with pytest.raises(EmptyK):
         is_k_inverse(a, x, set())
@@ -111,11 +65,11 @@ def test_sample_14_and_duality():
         out = sample_14_inverse(a, x)
         assert is_k_inverse(a, out, {1, 4})
         # star maps the {1,4} family onto the {1,3} family of a*
-        assert star(out) == sample_13_inverse(star(a), star(x))
-        assert is_k_inverse(star(a), star(out), {1, 3})
+        assert out.star() == sample_13_inverse(a.star(), x.star())
+        assert is_k_inverse(a.star(), out.star(), {1, 3})
         # and back: the star of a sampled {1,3}-inverse of a* lands in a{1,4}
-        y = sample_13_inverse(star(a), random_matrix(G, n, n, rng))
-        assert is_k_inverse(a, star(y), {1, 4})
+        y = sample_13_inverse(a.star(), random_matrix(G, n, n, rng))
+        assert is_k_inverse(a, y.star(), {1, 4})
 
 
 def test_one_three_family_is_exactly_ax_equals_aadag():
@@ -147,32 +101,66 @@ def _kernel_completion(a, rng):
     return out
 
 
+def _corners(x, p, q):
+    """The corners p x q, p x (e - q), (e - p) x q, (e - p) x (e - q) of x
+    against idempotents p and q; they sum to x."""
+    e = Matrix.identity(x.rows, x.domain)
+    return p @ x @ q, p @ x @ (e - q), (e - p) @ x @ q, (e - p) @ x @ (e - q)
+
+
+def _structured_13_blocks(a, b, x):
+    """Corners of a+ + (e - a+ a) x against p = b b+ and r = a a+, from
+    the block formula: with a1 = r a p, a2 = r a (e - p), d = a a* and
+    t_i = a_i* d+,
+
+        z1 = t1 + (e - t1 a1) x1 - t1 a2 x3
+        z2 = (e - t1 a1) x2 - t1 a2 x4
+        z3 = t2 - t2 a1 x1 + (e - t2 a2) x3
+        z4 = - t2 a1 x2 + (e - t2 a2) x4
+
+    where x1..x4 are the corners of x."""
+    e = Matrix.identity(a.rows, a.domain)
+    a_dag = mp_inverse(a)
+    p = b @ mp_inverse(b)
+    r = a @ a_dag
+    d_dag = a_dag.star() @ a_dag  # (a a*)+ = (a+)* a+
+    a1 = r @ a @ p
+    a2 = r @ a @ (e - p)
+    t1 = a1.star() @ d_dag
+    t2 = a2.star() @ d_dag
+    x1, x2, x3, x4 = _corners(x, p, r)
+    return (
+        t1 + (e - t1 @ a1) @ x1 - t1 @ a2 @ x3,
+        (e - t1 @ a1) @ x2 - t1 @ a2 @ x4,
+        t2 - t2 @ a1 @ x1 + (e - t2 @ a2) @ x3,
+        (e - t2 @ a2) @ x4 - t2 @ a1 @ x2,
+    )
+
+
 def test_structured_13_blocks_x_zero_gives_mp_blocks():
     rng = random.Random(25)
     for _ in range(15):
         n = rng.randint(2, 3)
         a = random_matrix_of_rank(G, n, n, rng.randint(1, n), rng)
         b = random_matrix_of_rank(G, n, n, rng.randint(0, n), rng)
-        ctx = param_context_13(a, b)
-        zero = Matrix.zeros(n, n, G)
-        z = structured_13_blocks(ctx, peirce_blocks(zero, ctx.p, ctx.r))
+        z1, z2, z3, z4 = _structured_13_blocks(a, b, Matrix.zeros(n, n, G))
         e = Matrix.identity(n, G)
-        a1 = ctx.r @ a @ ctx.p
-        a2 = ctx.r @ a @ (e - ctx.p)
-        assert z.x1 == a1.star() @ ctx.d_dagger
-        assert z.x3 == a2.star() @ ctx.d_dagger
-        assert z.x2.is_zero() and z.x4.is_zero()
-        assert z.reassemble() == mp_inverse(a)
+        p = b @ mp_inverse(b)
+        r = a @ mp_inverse(a)
+        d_dag = mp_inverse(a @ a.star())
+        assert z1 == (r @ a @ p).star() @ d_dag
+        assert z3 == (r @ a @ (e - p)).star() @ d_dag
+        assert z2.is_zero() and z4.is_zero()
+        assert z1 + z2 + z3 + z4 == mp_inverse(a)
 
 
 def test_structured_13_blocks_invertible_collapse():
     a = Matrix.from_rows([[1, 2], [0, 1]], G)
     b = Matrix.identity(2, G)
-    ctx = param_context_13(a, b)
     x = random_matrix(G, 2, 2, random.Random(26))
-    z = structured_13_blocks(ctx, peirce_blocks(x, ctx.p, ctx.r))
-    assert z.x1 == inverse(a)
-    assert z.x2.is_zero() and z.x3.is_zero() and z.x4.is_zero()
+    z1, z2, z3, z4 = _structured_13_blocks(a, b, x)
+    assert z1 == inverse(a)
+    assert z2.is_zero() and z3.is_zero() and z4.is_zero()
 
 
 def test_structured_13_blocks_matches_flat_parametrization():
@@ -181,26 +169,12 @@ def test_structured_13_blocks_matches_flat_parametrization():
         n = rng.randint(1, 3)
         a = random_matrix_of_rank(G, n, n, rng.randint(0, n), rng)
         b = random_matrix_of_rank(G, n, n, rng.randint(0, n), rng)
-        ctx = param_context_13(a, b)
         x = random_matrix(G, n, n, rng)
-        xb = peirce_blocks(x, ctx.p, ctx.r)
-        z = structured_13_blocks(ctx, xb)
+        z = _structured_13_blocks(a, b, x)
         flat = sample_13_inverse(a, x)
-        assert z.reassemble() == flat
-        fb = peirce_blocks(flat, ctx.p, ctx.r)
-        assert (z.x1, z.x2, z.x3, z.x4) == (fb.x1, fb.x2, fb.x3, fb.x4)
-        assert is_k_inverse(a, z.reassemble(), {1, 3})
-
-
-def test_structured_13_blocks_rejects_wrong_idempotents():
-    a = Matrix.from_rows([[1, 0], [0, 0]], G)
-    b = Matrix.identity(2, G)
-    ctx = param_context_13(a, b)
-    x = Matrix.zeros(2, 2, G)
-    wrong = peirce_blocks(x, ctx.r, ctx.p)  # swapped sides
-    if (ctx.p, ctx.r) != (ctx.r, ctx.p):
-        with pytest.raises(ValueError):
-            structured_13_blocks(ctx, wrong)
+        assert z[0] + z[1] + z[2] + z[3] == flat
+        assert z == _corners(flat, b @ mp_inverse(b), a @ mp_inverse(a))
+        assert is_k_inverse(a, flat, {1, 3})
 
 
 def test_sample_commutant_properties():

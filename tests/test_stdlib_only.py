@@ -1,4 +1,9 @@
-"""The library imports nothing outside the Python standard library."""
+"""Two rules for every library module.
+
+It imports nothing outside the Python standard library, and it has no
+`assert` statement: `python -O` strips those, and no check may vanish
+with them.
+"""
 
 import ast
 import sys
@@ -10,9 +15,12 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rolcheck"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
+def _tree(path):
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
 def _absolute_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    for node in ast.walk(tree):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 yield node.lineno, alias.name
@@ -32,3 +40,10 @@ def test_imports_are_stdlib_only(path):
         if name.split(".")[0] not in sys.stdlib_module_names
     ]
     assert not foreign, foreign
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    asserts = [f"{path.name}:{node.lineno}" for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Assert)]
+    assert not asserts, asserts
