@@ -4,7 +4,10 @@ A K-inverse of a satisfies the Penrose equations named by K.  Every
 {1,3}-inverse of a is a+ + (e - a+ a) x and every {1,4}-inverse is
 a+ + x (e - a a+) for some x.  Weights commuting with a matrix and its
 star, or solving a law's weight conditions, are drawn from the kernel
-basis of the stacked linear system `matrix_equation_basis` builds.
+basis of the stacked linear system `matrix_equation_basis` builds.  Over
+Q(i), a rank computed modulo one small prime first proves a generic
+kernel trivial (span(e), or {0} for the four-way weight), so the exact
+solve runs only when the kernel may be larger.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 from .errors import DimensionMismatch, EmptyK
 from .geninv import mp_inverse, penrose_equations
 from .matrices import Matrix, nullspace_basis
+from .scalars import GAUSSIAN_RATIONAL, _gaussian_integers
 
 
 def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
@@ -51,15 +55,20 @@ def sample_14_inverse(a: Matrix, x: Matrix) -> Matrix:
     return a_dag + x @ (e - a @ a_dag)
 
 
-def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):
-    """Basis of {c : c m = m c, l c = 0, c r = 0 for the given matrices}.
+# The rank certificate of matrix_equation_basis works in F_P.  Since
+# P = 1 (mod 4), -1 has a square root _I mod P, and re + im i -> re + _I im
+# is a ring map from Z[i] onto F_P.  P < 2**15 keeps every product of two
+# residues within one CPython digit.
+_P = 32749
+_I = 15645  # _I * _I = -1 (mod _P)
+
+
+def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) -> Matrix:
+    """The stacked linear system whose kernel matrix_equation_basis returns.
 
     Each condition is one block of n*n equations c right - left c = 0
     (right = left = m, or a missing side for l and r).  The unknown c is
-    vectorized by column stacking (c[u][v] sits at index v*n + u), the
-    stacked linear system is solved by nullspace_basis, and each kernel
-    vector is folded back into a matrix.  Fixed ordering keeps the basis
-    reproducible under a seed."""
+    vectorized by column stacking: c[u][v] sits at index v*n + u."""
     size = n * n
     zero = domain.zero()
     blocks = [(m, m) for m in commute_with]
@@ -76,7 +85,61 @@ def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=(
                     if left is not None:
                         row[j * n + t] = row[j * n + t] - left[i, t]
                 rows.append(row)
-    system = Matrix(len(rows), size, domain, [v for row in rows for v in row])
+    return Matrix(len(rows), size, domain, [v for row in rows for v in row])
+
+
+def _rank_mod_p(system: Matrix, stop: int) -> int:
+    """Rank mod P of a system over Q(i), counted up to `stop`.
+
+    Each row is scaled to Gaussian integers and mapped to F_P, then forward
+    elimination runs until the rank reaches `stop`.  The map is a ring map
+    on Z[i], so every minor maps to a minor, and the result never exceeds
+    the rank over Q(i).  Columns are dropped from the front as they are
+    eliminated, so column 0 of every row is the current column."""
+    rows = []
+    for i in range(system.rows):
+        re, im, _ = _gaussian_integers(system.row(i))
+        rows.append([(a + _I * b) % _P for a, b in zip(re, im)])
+    rank = 0
+    for _ in range(system.cols):
+        if rank == stop:
+            break
+        k = next((k for k, x in enumerate(rows) if x[0]), None)
+        if k is None:
+            rows = [x[1:] for x in rows]
+            continue
+        y = rows.pop(k)
+        inv = pow(y[0], -1, _P)
+        y = [v * inv % _P for v in y[1:]]
+        rest = []
+        for x in rows:
+            f = x[0]
+            rest.append([(a - f * b) % _P for a, b in zip(x[1:], y)] if f else x[1:])
+        rows = rest
+        rank += 1
+    return rank
+
+
+def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):
+    """Basis of {c : c m = m c, l c = 0, c r = 0 for the given matrices}.
+
+    The kernel of the stacked system `_equation_system` builds, each kernel
+    vector folded back into a matrix.  Fixed ordering keeps the basis
+    reproducible under a seed.
+
+    The known kernel is span(e) when there are only commute blocks, and {0}
+    once a zero block is given.  Over Q(i), a rank certificate runs first:
+    if the system's rank mod P reaches n*n minus the known dimension, the
+    rank over Q(i) is that too, the kernel is exactly the known span, and
+    the known basis is returned.  It is the basis nullspace_basis gives:
+    its one free column, n*n - 1, is the last diagonal entry of e.  Any
+    other rank mod P proves nothing, and the exact solve runs.  Over F_p
+    the exact solve is plain ints mod p already, and always runs."""
+    system = _equation_system(n, domain, commute_with, left_zero, right_zero)
+    known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
+    full = n * n - len(known)
+    if domain == GAUSSIAN_RATIONAL and _rank_mod_p(system, full) == full:
+        return known
     basis = []
     for vec in nullspace_basis(system):
         entries = [vec.entries[j * n + i] for i in range(n) for j in range(n)]
