@@ -136,10 +136,11 @@ def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=(
     other rank mod P proves nothing, and the exact solve runs.  Over F_p
     the exact solve is plain ints mod p already, and always runs."""
     system = _equation_system(n, domain, commute_with, left_zero, right_zero)
-    known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
-    full = n * n - len(known)
-    if domain == GAUSSIAN_RATIONAL and _rank_mod_p(system, full) == full:
-        return known
+    if domain == GAUSSIAN_RATIONAL:
+        known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
+        full = n * n - len(known)
+        if _rank_mod_p(system, full) == full:
+            return known
     basis = []
     for vec in nullspace_basis(system):
         entries = [vec.entries[j * n + i] for i in range(n) for j in range(n)]
@@ -160,10 +161,11 @@ def random_combination(basis, domain, rng) -> Matrix:
 def sample_commutant(b: Matrix, seed: int) -> Matrix:
     """Random element commuting with both b and b*.
 
-    Solves the stacked system {c b = b c, c b* = b* c} and draws a random
-    rational combination of its kernel basis.  The commutant always
-    contains the scalar multiples of the identity; a zero draw falls back
-    to the identity so the result is usable as a weight."""
+    Takes the kernel basis of the stacked system {c b = b c, c b* = b* c}
+    from matrix_equation_basis (over Q(i) usually [e], certified without
+    the exact solve) and draws a random rational combination of it.  The
+    commutant always contains the scalar multiples of the identity; a zero
+    draw falls back to the identity so the result is usable as a weight."""
     if b.rows != b.cols:
         raise DimensionMismatch(f"commutant of a non-square matrix {b.shape}")
     basis = matrix_equation_basis(b.rows, b.domain, commute_with=(b, b.star()))

@@ -15,10 +15,10 @@ import random
 import pytest
 
 import rolcheck.peirce
-from rolcheck import GAUSSIAN_RATIONAL, LawId, Matrix, mp_inverse
+from rolcheck import GAUSSIAN_RATIONAL, LawId, Matrix
 from rolcheck.harness import InstanceSpec, _constrained_weight, gen_instance, random_matrix_of_rank
 from rolcheck.matrices import inverse, nullspace_basis, random_matrix
-from rolcheck.peirce import _equation_system, matrix_equation_basis, sample_commutant
+from rolcheck.peirce import _equation_system, matrix_equation_basis
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.peirce._P
@@ -67,7 +67,8 @@ def _cases():
         # A generic b of rank at least 2 is irreducible: its commutant is span(e).
         rank = max(n - 2, 2)
         yield f"rank-{rank} n={n}", random_matrix_of_rank(G, n, n, rank, rng), "certify"
-    # A rank-1 b = u v* leaves the commutant of span(u, v)'s complement.
+    # For n >= 3, b = u v* and b* map into span(u, v) and vanish on its
+    # nonzero orthogonal complement, so the projection onto it commutes with both.
     for n in range(3, 6):
         yield f"rank-1 n={n}", random_matrix_of_rank(G, n, n, 1, rng), "decline"
     for m in (1, 2):
@@ -112,12 +113,6 @@ def test_certified_and_declined_bases_equal_the_exact_path():
     assert wrong == []
 
 
-def test_certified_basis_is_the_identity():
-    for name, b, expected in CASES:
-        if expected == "certify":
-            assert _commutant_basis_exact(b) == [Matrix.identity(b.rows, G)], name
-
-
 def test_entries_divisible_by_p_decline_and_still_give_e():
     b = Matrix.from_rows([[0, P], [0, 0]], G)
     system = _equation_system(2, G, commute_with=(b, b.star()))
@@ -130,16 +125,6 @@ def test_always_certify_mutant_fails_the_comparison():
     mismatched = [name for name, _, _, basis, exact in results if basis != exact]
     assert any(name.startswith("b=0") for name in mismatched)
     assert any(name.startswith("U diag") for name in mismatched)
-
-
-def test_sample_commutant_draws_agree_with_the_exact_path():
-    """The same kernel basis gives the same random combination."""
-    with pytest.MonkeyPatch.context() as patch:
-        exact = []
-        patch.setattr(rolcheck.peirce, "_rank_mod_p", lambda system, stop: -1)
-        for seed, (_, b, _) in enumerate(CASES):
-            exact.append(sample_commutant(b, seed))
-    assert [sample_commutant(b, seed) for seed, (_, b, _) in enumerate(CASES)] == exact
 
 
 def test_prime_and_square_root_of_minus_one():
@@ -188,22 +173,15 @@ def test_four_way_weight_equals_the_exact_path():
     outcomes = _four_way_outcomes(pairs)
     assert all(c == exact for _, c, exact in outcomes)
     assert sum(fired for fired, _, _ in outcomes) >= len(outcomes) // 2
-    e = Matrix.identity
-    assert all(c == e(c.rows, G) for fired, c, _ in outcomes if fired)
+    assert all(c == Matrix.identity(c.rows, G) for fired, c, _ in outcomes if fired)
 
 
 def test_four_way_weight_with_ab_zero_declines():
     """With ab = 0, y = e solves the four-way system, so the kernel is not
     {0} and the certificate must decline."""
     rng = random.Random(39)
-    pairs = []
-    for n in (2, 3, 4):
-        b = random_matrix_of_rank(G, n, n, n - 1, rng)
-        pairs.append((b, Matrix.zeros(n, n, G), n))
-        # a = e - b b+ projects onto the orthogonal complement of b's range.
-        a = Matrix.identity(n, G) - b @ mp_inverse(b)
-        assert (a @ b).is_zero() and not a.is_zero()
-        pairs.append((b, a @ b, n + 10))
+    pairs = [(random_matrix_of_rank(G, n, n, rank, rng), Matrix.zeros(n, n, G), n)
+             for n in (2, 3, 4) for rank in (n - 1, n)]
     outcomes = _four_way_outcomes(pairs)
     assert [fired for fired, _, _ in outcomes] == [False] * len(pairs)
     assert all(c == exact for _, c, exact in outcomes)
