@@ -26,7 +26,7 @@ from .laws import (
     check_equivalence,
     law_statement,
 )
-from .matrices import Matrix, matrix_to_json, domain_to_json, random_matrix, rank
+from .matrices import Matrix, matrix_to_json, random_matrix, rank
 from .peirce import matrix_equation_basis, random_combination, sample_commutant
 from .scalars import ScalarDomain
 
@@ -237,7 +237,7 @@ def run_suite(
         violations=violations,
         hypothesis_skips=skips,
         seed=spec.seed,
-        domain_tag=domain_to_json(spec.domain),
+        domain_tag=spec.domain.json_tag(),
         size=spec.size,
         elapsed=time.perf_counter() - start,
     )

@@ -249,12 +249,6 @@ def random_matrix(domain: ScalarDomain, rows, cols, rng) -> Matrix:
 #  "rows": n, "cols": m, "entries": [["<scalar>", ...], ...]}
 
 
-def domain_to_json(domain: ScalarDomain):
-    if domain == GAUSSIAN_RATIONAL:
-        return "gaussian_rational"
-    return {"prime_field": domain.p}
-
-
 def domain_from_json(obj) -> ScalarDomain:
     if obj == "gaussian_rational":
         return GAUSSIAN_RATIONAL
@@ -268,7 +262,7 @@ def domain_from_json(obj) -> ScalarDomain:
 def matrix_to_json(a: Matrix) -> dict:
     fmt = a.domain.format_scalar
     return {
-        "domain": domain_to_json(a.domain),
+        "domain": a.domain.json_tag(),
         "rows": a.rows,
         "cols": a.cols,
         "entries": [[fmt(v) for v in a.row(i)] for i in range(a.rows)],

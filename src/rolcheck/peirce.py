@@ -4,8 +4,8 @@ A K-inverse of a satisfies the Penrose equations named by K.  Every
 {1,3}-inverse of a is a+ + (e - a+ a) x and every {1,4}-inverse is
 a+ + x (e - a a+) for some x.  Weights commuting with a matrix and its
 star, or solving a law's weight conditions, are drawn from the kernel
-basis of the stacked linear system `matrix_equation_basis` builds.  Over
-Q(i), a rank computed modulo one small prime first proves a generic
+basis of the stacked linear system `matrix_equation_basis` builds.  A
+rank computed modulo one prime (in F_p, p itself) first proves a generic
 kernel trivial (span(e), or {0} for the four-way weight), so the exact
 solve runs only when the kernel may be larger.
 """
@@ -17,7 +17,6 @@ import random
 from .errors import DimensionMismatch, EmptyK
 from .geninv import mp_inverse, penrose_equations
 from .matrices import Matrix, nullspace_basis
-from .scalars import GAUSSIAN_RATIONAL, _gaussian_integers
 
 
 def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
@@ -55,14 +54,6 @@ def sample_14_inverse(a: Matrix, x: Matrix) -> Matrix:
     return a_dag + x @ (e - a @ a_dag)
 
 
-# The rank certificate of matrix_equation_basis works in F_P.  Since
-# P = 1 (mod 4), -1 has a square root _I mod P, and re + im i -> re + _I im
-# is a ring map from Z[i] onto F_P.  P < 2**15 keeps every product of two
-# residues within one CPython digit.
-_P = 32749
-_I = 15645  # _I * _I = -1 (mod _P)
-
-
 def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) -> Matrix:
     """The stacked linear system whose kernel matrix_equation_basis returns.
 
@@ -89,17 +80,14 @@ def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) ->
 
 
 def _rank_mod_p(system: Matrix, stop: int) -> int:
-    """Rank mod P of a system over Q(i), counted up to `stop`.
+    """Rank mod p of the system, counted up to `stop`.
 
-    Each row is scaled to Gaussian integers and mapped to F_P, then forward
-    elimination runs until the rank reaches `stop`.  The map is a ring map
-    on Z[i], so every minor maps to a minor, and the result never exceeds
-    the rank over Q(i).  Columns are dropped from the front as they are
-    eliminated, so column 0 of every row is the current column."""
-    rows = []
-    for i in range(system.rows):
-        re, im, _ = _gaussian_integers(system.row(i))
-        rows.append([(a + _I * b) % _P for a, b in zip(re, im)])
+    The domain maps the rows to ints mod its prime p (`residues`), then
+    forward elimination runs until the rank reaches `stop`.  The result
+    never exceeds the rank over the domain, and over F_p it is that rank.
+    Columns are dropped from the front as they are eliminated, so column 0
+    of every row is the current column."""
+    rows, p = system.domain.residues([system.row(i) for i in range(system.rows)])
     rank = 0
     for _ in range(system.cols):
         if rank == stop:
@@ -109,12 +97,12 @@ def _rank_mod_p(system: Matrix, stop: int) -> int:
             rows = [x[1:] for x in rows]
             continue
         y = rows.pop(k)
-        inv = pow(y[0], -1, _P)
-        y = [v * inv % _P for v in y[1:]]
+        inv = pow(y[0], -1, p)
+        y = [v * inv % p for v in y[1:]]
         rest = []
         for x in rows:
             f = x[0]
-            rest.append([(a - f * b) % _P for a, b in zip(x[1:], y)] if f else x[1:])
+            rest.append([(a - f * b) % p for a, b in zip(x[1:], y)] if f else x[1:])
         rows = rest
         rank += 1
     return rank
@@ -128,19 +116,17 @@ def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=(
     reproducible under a seed.
 
     The known kernel is span(e) when there are only commute blocks, and {0}
-    once a zero block is given.  Over Q(i), a rank certificate runs first:
-    if the system's rank mod P reaches n*n minus the known dimension, the
-    rank over Q(i) is that too, the kernel is exactly the known span, and
+    once a zero block is given.  A rank certificate runs first: if the
+    system's rank mod p reaches n*n minus the known dimension, the rank
+    over the domain is that too, the kernel is exactly the known span, and
     the known basis is returned.  It is the basis nullspace_basis gives:
     its one free column, n*n - 1, is the last diagonal entry of e.  Any
-    other rank mod P proves nothing, and the exact solve runs.  Over F_p
-    the exact solve is plain ints mod p already, and always runs."""
+    other rank mod p proves nothing, and the exact solve runs."""
     system = _equation_system(n, domain, commute_with, left_zero, right_zero)
-    if domain == GAUSSIAN_RATIONAL:
-        known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
-        full = n * n - len(known)
-        if _rank_mod_p(system, full) == full:
-            return known
+    known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
+    full = n * n - len(known)
+    if _rank_mod_p(system, full) == full:
+        return known
     basis = []
     for vec in nullspace_basis(system):
         entries = [vec.entries[j * n + i] for i in range(n) for j in range(n)]
@@ -162,8 +148,8 @@ def sample_commutant(b: Matrix, seed: int) -> Matrix:
     """Random element commuting with both b and b*.
 
     Takes the kernel basis of the stacked system {c b = b c, c b* = b* c}
-    from matrix_equation_basis (over Q(i) usually [e], certified without
-    the exact solve) and draws a random rational combination of it.  The
+    from matrix_equation_basis (usually [e], certified without the exact
+    solve) and draws a random combination of it.  The
     commutant always contains the scalar multiples of the identity; a zero
     draw falls back to the identity so the result is usable as a weight."""
     if b.rows != b.cols:

@@ -23,6 +23,12 @@ from .errors import DivisionByZero, DomainMismatch
 _FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 _INT_RE = re.compile(r"[+-]?\d+\Z")
 
+# Q(i) residues live in F_P.  Since P = 1 (mod 4), -1 has a square root _I
+# mod P, and re + im i -> re + _I im is a ring map from Z[i] onto F_P.
+# P < 2**15 keeps every product of two residues within one CPython digit.
+_P = 32749
+_I = 15645  # _I * _I = -1 (mod _P)
+
 
 class GaussianRational:
     """Element of Q(i), stored as (re_num + im_num*i) / den.
@@ -311,6 +317,10 @@ class ScalarDomain:
     def format_scalar(self, value) -> str:
         raise NotImplementedError
 
+    def json_tag(self):
+        """The domain's tag in matrix JSON, a fresh value per call."""
+        raise NotImplementedError
+
     def sample(self, rng):
         """Random small element, deterministic under the given rng."""
         raise NotImplementedError
@@ -332,6 +342,12 @@ class ScalarDomain:
         """Entries of the n x m product of the n x k and k x m matrices whose
         row-major entries are a and b.  Each is the exact sum of products,
         so every kernel returns the entries the textbook loop gives."""
+        raise NotImplementedError
+
+    def residues(self, rows):
+        """(images, q): each row as ints mod the prime q.  A row is scaled by
+        a nonzero element, then sent through a ring map to F_q, so the rank
+        of the images never exceeds the rank of the rows."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -395,6 +411,9 @@ class GaussianRationalDomain(ScalarDomain):
             return _format_fraction(im) + "i"
         sign = "+" if im > 0 else "-"
         return _format_fraction(re) + sign + _format_fraction(abs(im)) + "i"
+
+    def json_tag(self):
+        return "gaussian_rational"
 
     def sample(self, rng):
         return GaussianRational(_sample_fraction(rng), _sample_fraction(rng))
@@ -482,6 +501,14 @@ class GaussianRationalDomain(ScalarDomain):
                 out.append(raw(re, im, x_den * y_den))
         return out
 
+    def residues(self, rows):
+        """Rows scaled to Gaussian integers, then re + im i -> re + _I im."""
+        images = []
+        for row in rows:
+            re, im, _ = _gaussian_integers(row)
+            images.append([(a + _I * b) % _P for a, b in zip(re, im)])
+        return images, _P
+
     def __eq__(self, other):
         return isinstance(other, GaussianRationalDomain)
 
@@ -524,6 +551,9 @@ class PrimeFieldDomain(ScalarDomain):
 
     def format_scalar(self, value):
         return str(value.value)
+
+    def json_tag(self):
+        return {"prime_field": self.p}
 
     def sample(self, rng):
         return PrimeFieldElement(rng.randrange(self.p), self.p)
@@ -569,6 +599,10 @@ class PrimeFieldDomain(ScalarDomain):
             values.extend(sum(map(operator.mul, row, col)) % p for col in cols)
         element = {v: PrimeFieldElement(v, p) for v in set(values)}
         return [element[v] for v in values]
+
+    def residues(self, rows):
+        """The element values: the map is the identity."""
+        return [[z.value for z in row] for row in rows], self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p

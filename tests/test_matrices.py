@@ -198,6 +198,15 @@ def test_json_shape_and_domain():
     assert matrix_to_json(b)["domain"] == {"prime_field": 5}
 
 
+def test_json_domain_tag_is_fresh_per_call():
+    b = Matrix.from_rows([[3]], F5)
+    matrix_to_json(b)["domain"]["prime_field"] = 7
+    assert matrix_to_json(b)["domain"] == {"prime_field": 5}
+    for domain in (G, F5, prime_field(7)):
+        assert matrix_from_json({"domain": domain.json_tag(), "rows": 0, "cols": 0,
+                                 "entries": []}).domain == domain
+
+
 @pytest.mark.parametrize(
     "obj",
     [
