@@ -96,25 +96,47 @@ def _constrained_weight(m: Matrix, ab: Matrix, rng) -> Matrix:
     return e + y
 
 
-def gen_instance(spec: InstanceSpec, law: LawId | None = None):
-    """Deterministic (a, b, c) triple for the spec (and target law, which
-    fixes the side c must commute with)."""
+def _draw_pair(spec: InstanceSpec):
+    """(a, b, generator): the spec's pair, drawn first from a generator
+    seeded with spec.seed, and the generator the weight is drawn from."""
     rng = random.Random(spec.seed)
     n = spec.size
     rank_a = spec.rank_a if spec.rank_a is not None else rng.randint(0, n)
     rank_b = spec.rank_b if spec.rank_b is not None else rng.randint(0, n)
     a = random_matrix_of_rank(spec.domain, n, n, rank_a, rng)
     b = random_matrix_of_rank(spec.domain, n, n, rank_b, rng)
+    return a, b, rng
 
+
+def _fixed_weight_scalar(spec: InstanceSpec, law: LawId | None):
+    """The checks gen_instance makes on (spec, law), which no draw can
+    change.  Returns the spec's weight scalar in its domain, or None when
+    it is drawn per instance or the weight is not a scalar."""
+    side = LAWS[law].side if law is not None else "b"
+    if side == "scalar" and spec.weight_mode == "commutant":
+        raise InvalidSpec(f"{law} takes a scalar weight; use weight_mode scalar or identity")
+    if spec.weight_mode == "scalar" and spec.weight_scalar is not None:
+        return spec.domain.coerce(spec.weight_scalar)
+    return None
+
+
+def gen_instance(spec: InstanceSpec, law: LawId | None = None, pair=None):
+    """Deterministic (a, b, c) triple for the spec (and target law, which
+    fixes the side c must commute with).
+
+    The pair comes first and the weight last from one generator.  `pair`
+    is the (a, b, generator) triple of _draw_pair(spec), for a caller
+    that looks at a and b before it asks for the weight; the triple is
+    the same either way."""
+    lam = _fixed_weight_scalar(spec, law)
+    a, b, rng = pair if pair is not None else _draw_pair(spec)
+    n = spec.size
     mode = spec.weight_mode
     side = LAWS[law].side if law is not None else "b"
-    if side == "scalar" and mode == "commutant":
-        raise InvalidSpec(f"{law} takes a scalar weight; use weight_mode scalar or identity")
     if mode == "identity":
         c = Matrix.identity(n, spec.domain)
     elif mode == "scalar":
-        lam = spec.weight_scalar
-        lam = spec.domain.coerce(lam) if lam is not None else _nonzero_scalar(spec.domain, rng)
+        lam = lam if lam is not None else _nonzero_scalar(spec.domain, rng)
         c = Matrix.identity(n, spec.domain).scale(lam)
     elif law is not None and LAWS[law].weight_fixes_ab:
         c = _constrained_weight(a if side == "a" else b, a @ b, rng)
@@ -168,14 +190,27 @@ def _trial_seeds(master: int, trial: int):
 def _trials(law: LawId, spec: InstanceSpec, count: int):
     """Yield (trial, sample seed, context) for `count` generated instances.
 
-    The context is None when a or b has no Moore-Penrose inverse (possible
-    over prime fields only)."""
+    The checks gen_instance makes on (spec, law) run once, before the
+    first trial.  Each trial draws its pair, then its weight last, and
+    only when it can still reach a verdict: the context is None, and no
+    weight is drawn, when a or b has no Moore-Penrose inverse (possible
+    over prime fields only) or when the law's pair_hypotheses fail.
+    Such a trial is a skip whatever its weight.  The weight is the last
+    draw of a trial, and its seed is the trial's own, so suites and
+    searches come out as if every weight were drawn."""
+    _fixed_weight_scalar(spec, law)
+    pair_hypotheses = LAWS[law].pair_hypotheses
     for trial in range(count):
         gen_seed, sample_seed = _trial_seeds(spec.seed, trial)
-        a, b, c = gen_instance(replace(spec, seed=gen_seed), law)
+        trial_spec = replace(spec, seed=gen_seed)
+        pair = _draw_pair(trial_spec)
         try:
-            ctx = LawContext(a, b, c)
+            ctx = LawContext(*pair[:2])
         except NoMPInverse:
+            ctx = None
+        if ctx is not None and all(holds(ctx) for _, holds in pair_hypotheses):
+            ctx.set_weight(gen_instance(trial_spec, law, pair)[2])
+        else:
             ctx = None
         yield trial, sample_seed, ctx
 

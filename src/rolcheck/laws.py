@@ -85,6 +85,14 @@ VIOLATION = "violation"
 HYPOTHESIS_NOT_MET = "hypothesis_not_met"
 
 
+def _check_instance(a: Matrix, *others: Matrix) -> None:
+    if a.rows != a.cols or any(m.shape != a.shape for m in others):
+        raise DimensionMismatch("laws need equal square shapes, got "
+                                + ", ".join(str(m.shape) for m in (a, *others)))
+    for m in others:
+        a._same_domain(m)
+
+
 class LawContext:
     """An instance (a, b, c) with the blanket elements precomputed.
 
@@ -92,23 +100,20 @@ class LawContext:
     Moore-Penrose inverse (possible over prime fields only).  The
     defining identities of the blanket elements are verified eagerly, and
     a failing one raises BlanketIdentityFailed naming it.
+
+    The weight may come last: LawContext(a, b) holds everything that
+    reads a and b alone, and set_weight(c) adds c once.  Until then c,
+    c_star, cab and abc raise AttributeError.
     """
 
-    def __init__(self, a: Matrix, b: Matrix, c: Matrix):
-        if a.rows != a.cols or a.shape != b.shape or a.shape != c.shape:
-            raise DimensionMismatch(
-                f"laws need equal square shapes, got {a.shape}, {b.shape}, {c.shape}"
-            )
-        a._same_domain(b)
-        a._same_domain(c)
+    def __init__(self, a: Matrix, b: Matrix, c: Matrix | None = None):
+        _check_instance(a, b, *(() if c is None else (c,)))
         self.a = a
         self.b = b
-        self.c = c
         self.a_dag = mp_inverse(a)
         self.b_dag = mp_inverse(b)
         self.a_star = a.star()
         self.b_star = b.star()
-        self.c_star = c.star()
         self.a_dag_star = self.a_dag.star()
         self.b_dag_star = self.b_dag.star()
         self.p = b @ self.b_dag
@@ -127,6 +132,19 @@ class LawContext:
         ):
             if not holds():
                 raise BlanketIdentityFailed(identity)
+        if c is not None:
+            self.set_weight(c)
+
+    def set_weight(self, c: Matrix) -> None:
+        """Give the instance its weight c; a second weight is refused."""
+        if hasattr(self, "c"):
+            raise ValueError("the instance already has its weight c")
+        _check_instance(self.a, self.b, c)
+        self.c = c
+
+    @cached_property
+    def c_star(self) -> Matrix:
+        return self.c.star()
 
     @cached_property
     def e(self) -> Matrix:
@@ -390,13 +408,19 @@ class SampledStatement:
 
 @dataclass(frozen=True)
 class LawSpec:
-    """Everything the checker knows about one law."""
+    """Everything the checker knows about one law.
+
+    Hypotheses are (name, predicate on LawContext) pairs.  Those that
+    read a and b alone go in pair_hypotheses: suites check them before
+    they draw a weight, on a context that has none.  check_hypotheses
+    walks the side hypothesis, then hypotheses, then pair_hypotheses."""
 
     side: Optional[str]  # c commutes with this and its star: "a", "b", "scalar" or None
-    hypotheses: tuple  # further (name, predicate on LawContext) pairs, in checking order
+    hypotheses: tuple  # further hypotheses that read c, in checking order
     statements: dict  # statement id -> exact evaluator (None: sampled), in reporting order
     sampled: Optional[SampledStatement] = None
     weight_fixes_ab: bool = False  # generated weights also satisfy c ab = ab (T38/T39)
+    pair_hypotheses: tuple = ()  # hypotheses on a and b alone, checked last
 
 
 def _statements(*evaluators) -> dict:
@@ -418,21 +442,26 @@ _B_COMP_MP = ("(e - a+a)b is Moore-Penrose invertible",
               lambda ctx: _mp_ok((ctx.e - ctx.s) @ ctx.b))
 
 LAWS = {
-    LawId.T23: LawSpec("b", (_AB_MP,), _statements(_t23_i, _t23_ii, _t23_iii)),
-    LawId.T24: LawSpec("a", (_AB_MP,), _statements(_t24_i, _t24_ii, _t24_iii)),
+    LawId.T23: LawSpec("b", (), _statements(_t23_i, _t23_ii, _t23_iii), pair_hypotheses=(_AB_MP,)),
+    LawId.T24: LawSpec("a", (), _statements(_t24_i, _t24_ii, _t24_iii), pair_hypotheses=(_AB_MP,)),
     LawId.T25: LawSpec("a", (_CAB_MP,), _statements(_t25_i, _t25_ii, _t25_iii)),
     LawId.T26: LawSpec("b", (_ABC_MP,), _statements(_t26_i, _t26_ii, _t26_iii)),
-    LawId.C27: LawSpec("scalar", (_AB_MP,), _statements(_c27_i, _c27_ii, _c27_iii)),
-    LawId.GREVILLE: LawSpec(None, (_AB_MP,), _statements(_greville_i, _greville_ii)),
-    LawId.KOLIHA_DC: LawSpec(None, (_AB_MP,), _statements(_greville_i, _koliha_ii)),
+    LawId.C27: LawSpec("scalar", (), _statements(_c27_i, _c27_ii, _c27_iii),
+                       pair_hypotheses=(_AB_MP,)),
+    LawId.GREVILLE: LawSpec(None, (), _statements(_greville_i, _greville_ii),
+                            pair_hypotheses=(_AB_MP,)),
+    LawId.KOLIHA_DC: LawSpec(None, (), _statements(_greville_i, _koliha_ii),
+                             pair_hypotheses=(_AB_MP,)),
     LawId.T32: LawSpec("a", (), _statements(None, _t32_ii), SampledStatement(
         "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
-    LawId.C33: LawSpec("a", (_A_COMP_MP,), _statements(None, _c33_ii), SampledStatement(
-        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
+    LawId.C33: LawSpec("a", (), _statements(None, _c33_ii), SampledStatement(
+        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c),
+        pair_hypotheses=(_A_COMP_MP,)),
     LawId.T34: LawSpec("b", (), _statements(None, _t34_ii), SampledStatement(
         "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
-    LawId.C35: LawSpec("b", (_B_COMP_MP,), _statements(None, _c35_ii), SampledStatement(
-        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
+    LawId.C35: LawSpec("b", (), _statements(None, _c35_ii), SampledStatement(
+        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv),
+        pair_hypotheses=(_B_COMP_MP,)),
     LawId.T36: LawSpec("a", (), _statements(None, _t36_ii), SampledStatement(
         "i", (1, 3), lambda ctx: ctx.cab, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
     LawId.T37: LawSpec("b", (), _statements(None, _t37_ii), SampledStatement(
@@ -442,30 +471,34 @@ LAWS = {
         (
             ("cab = ab", lambda ctx: ctx.cab == ctx.ab),
             ("c*ab = ab", lambda ctx: ctx.c_star @ ctx.ab == ctx.ab),
-            _AB_MP,
-            ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
-            _A_COMP_MP,
         ),
         _statements(_t38_i, None, _t38_iii, _t38_iv),
         SampledStatement(
             "ii", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c
         ),
         weight_fixes_ab=True,
+        pair_hypotheses=(
+            _AB_MP,
+            ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
+            _A_COMP_MP,
+        ),
     ),
     LawId.T39: LawSpec(
         "b",
         (
             ("abc = ab", lambda ctx: ctx.abc == ctx.ab),
             ("abc* = ab", lambda ctx: ctx.ab @ ctx.c_star == ctx.ab),
-            _AB_MP,
-            ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
-            _B_COMP_MP,
         ),
         _statements(_t39_i, None, _t39_iii, _t39_iv),
         SampledStatement(
             "ii", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
         ),
         weight_fixes_ab=True,
+        pair_hypotheses=(
+            _AB_MP,
+            ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
+            _B_COMP_MP,
+        ),
     ),
 }
 
@@ -474,7 +507,8 @@ def check_hypotheses(law: LawId, ctx: LawContext):
     """Raise HypothesisNotMet (naming the offender) unless the instance
     satisfies every hypothesis of the law."""
     spec = LAWS[law]
-    for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses):
+    for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses,
+                        *spec.pair_hypotheses):
         if not holds(ctx):
             raise HypothesisNotMet(name)
 

@@ -179,6 +179,16 @@ def test_malformed_input_exits_3(tmp_path):
     assert run_cli(["nonsense"]).returncode == 3
 
 
+def test_suite_rejects_a_commutant_weight_for_a_scalar_law():
+    # Trial 0 at this seed has no a+, so it never reaches its weight; the
+    # spec is rejected before it.
+    result = run_cli(["suite", "--law", "C27", "--domain", "fp:3", "--size", "3", "--seed", "1",
+                      "--weight", "commutant", "--trials", "1"])
+    assert result.returncode == 3, result.stdout + result.stderr
+    assert "takes a scalar weight" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 def _one_by_one(**fields):
     return {"domain": "gaussian_rational", "rows": 1, "cols": 1, "entries": [["5"]], **fields}
 
