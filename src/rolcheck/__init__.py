@@ -44,14 +44,10 @@ from .geninv import (
     group_inverse,
     mp_exists,
     mp_inverse,
-    mp_via_star_group,
     penrose_equations,
-    prop21_check,
 )
 from .peirce import (
     is_k_inverse,
-    sample_13_inverse,
-    sample_14_inverse,
     sample_commutant,
 )
 from .laws import (
@@ -66,7 +62,6 @@ from .laws import (
     inclusion_holds,
     inclusion_statement_sampled,
     law_statement,
-    variant_context,
 )
 from .harness import (
     InstanceSpec,

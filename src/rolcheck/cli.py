@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: mp, groupinv, kcheck, law check, law search, suite.
-Every statement, set inclusions included, is decided exactly;
---samples and --falsify-samples only budget the random search for a
-witness against a set inclusion.
+Every statement, set inclusions included, is decided exactly.  The
+random search for a witness against a set inclusion runs at fixed
+budgets, 500 draws when the exact statements fail and 200 when they
+hold, and no flag sets them.
 Exit codes: 0 verified / nothing found, 1 counterexample or negative
 result, 3 malformed input.
 """
@@ -28,7 +29,6 @@ from .laws import (
     VIOLATION,
     LawContext,
     LawId,
-    check_draw_counts,
     check_equivalence,
     check_statement_id,
     law_statement,
@@ -109,14 +109,6 @@ def _add_common(parser):
         default="commutant",
         help="identity | scalar | scalar:<value> | commutant",
     )
-    _add_draw_budgets(parser)
-
-
-def _add_draw_budgets(parser):
-    parser.add_argument("--samples", type=int, default=200,
-                        help="draws of the witness search when the exact statements hold (>= 1)")
-    parser.add_argument("--falsify-samples", type=int, default=500,
-                        help="draws of the witness search when the exact statements fail (>= 1)")
 
 
 def _build_spec(args, domain) -> InstanceSpec:
@@ -169,8 +161,6 @@ def build_parser() -> _Parser:
     p_check.add_argument("--lambda", dest="lam", default=None,
                          help="scalar weight (builds c = lambda * identity)")
     p_check.add_argument("--stmt", default=None)
-    _add_draw_budgets(p_check)
-    p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--json", dest="json_out", default=None)
     p_check.set_defaults(run=_cmd_law_check)
 
@@ -232,7 +222,6 @@ def _law_check_context(args):
 
 def _cmd_law_check(args) -> int:
     law = _parse_law(args.law)
-    check_draw_counts(args.samples, args.falsify_samples)
     if args.stmt is not None:
         check_statement_id(law, args.stmt)
     try:
@@ -251,10 +240,7 @@ def _cmd_law_check(args) -> int:
         _emit_json({"law": law.value, "statement": args.stmt, "value": value},
                    args.json_out)
         return EXIT_OK
-    report = check_equivalence(
-        law, ctx, samples=args.samples, seed=args.seed,
-        falsify_samples=args.falsify_samples,
-    )
+    report = check_equivalence(law, ctx)
     print(f"{law}: {report.verdict}")
     for stmt, value in report.statement_values.items():
         print(f"  ({stmt}) = {value}")
@@ -272,10 +258,7 @@ def _cmd_law_search(args) -> int:
     law = _parse_law(args.law)
     domain = _parse_domain(args.domain)
     spec = _build_spec(args, domain)
-    witness = search_counterexample(
-        law, spec, args.budget, stmt=args.stmt,
-        samples=args.samples, falsify_samples=args.falsify_samples,
-    )
+    witness = search_counterexample(law, spec, args.budget, stmt=args.stmt)
     if witness is None:
         target = f"statement ({args.stmt})" if args.stmt else "equivalence violation"
         print(f"no counterexample to {law} {target} in {args.budget} instances")
@@ -292,10 +275,7 @@ def _cmd_suite(args) -> int:
     law = _parse_law(args.law)
     domain = _parse_domain(args.domain)
     spec = _build_spec(args, domain)
-    result = run_suite(
-        law, spec, args.trials,
-        samples=args.samples, falsify_samples=args.falsify_samples,
-    )
+    result = run_suite(law, spec, args.trials)
     print(
         f"{law}: trials={result.trials} equivalent={result.equivalent} "
         f"violations={len(result.violations)} "

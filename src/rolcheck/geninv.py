@@ -88,28 +88,6 @@ def group_inverse(a: Matrix) -> Matrix:
     return fact.f @ gf_inv @ gf_inv @ fact.g
 
 
-def mp_via_star_group(a: Matrix) -> Matrix:
-    """Cross-check route: a+ = (a* a)# a*.
-
-    Must agree exactly with mp_inverse by uniqueness of the
-    Moore-Penrose inverse."""
-    if not mp_exists(a):
-        raise NoMPInverse(f"no Moore-Penrose inverse over {a.domain.name}")
-    try:
-        return group_inverse(a.star() @ a) @ a.star()
-    except NotGroupInvertible as exc:
-        raise NoMPInverse(str(exc)) from exc
-
-
-def prop21_check(a: Matrix, b: Matrix) -> bool:
-    """Alternate characterization: b = a+ iff a = a a* b* and b* = a b b*."""
-    if b.rows != a.cols or b.cols != a.rows:
-        raise DimensionMismatch(f"candidate {b.shape} does not fit {a.shape}")
-    a._same_domain(b)
-    b_star = b.star()
-    return a == a @ a.star() @ b_star and b_star == a @ b @ b_star
-
-
 def commutes_with_pair(c: Matrix, a: Matrix) -> bool:
     """True iff c a = a c and c a* = a* c.
 

@@ -22,7 +22,6 @@ from .laws import (
     EquivalenceReport,
     LawContext,
     LawId,
-    check_draw_counts,
     check_equivalence,
     law_statement,
 )
@@ -195,7 +194,9 @@ def _trials(law: LawId, spec: InstanceSpec, count: int):
     only when it can still reach a verdict: the context is None, and no
     weight is drawn, when a or b has no Moore-Penrose inverse (possible
     over prime fields only) or when the law's pair_hypotheses fail.
-    Such a trial is a skip whatever its weight.  The weight is the last
+    Such a trial is a skip whatever its weight.  A kept context records
+    the law whose pair_hypotheses held (`pair_hypotheses_hold`), so that
+    check_hypotheses does not check them again.  The weight is the last
     draw of a trial, and its seed is the trial's own, so suites and
     searches come out as if every weight were drawn."""
     _fixed_weight_scalar(spec, law)
@@ -209,6 +210,7 @@ def _trials(law: LawId, spec: InstanceSpec, count: int):
         except NoMPInverse:
             ctx = None
         if ctx is not None and all(holds(ctx) for _, holds in pair_hypotheses):
+            ctx.pair_hypotheses_hold = law
             ctx.set_weight(gen_instance(trial_spec, law, pair)[2])
         else:
             ctx = None
@@ -233,21 +235,15 @@ def _violation(trial, ctx: LawContext, report: EquivalenceReport) -> dict:
                                details=report.details)
 
 
-def run_suite(
-    law: LawId,
-    spec: InstanceSpec,
-    trials: int,
-    samples: int = 200,
-    falsify_samples: int = 500,
-) -> SuiteResult:
-    """Run check_equivalence on `trials` generated instances.
+def run_suite(law: LawId, spec: InstanceSpec, trials: int) -> SuiteResult:
+    """Run check_equivalence, at its default witness-draw budgets, on
+    `trials` generated instances.
 
     Instances whose context cannot be built (no Moore-Penrose inverse
     over a prime field) or which fail a law hypothesis are counted as
     hypothesis skips, never silently dropped."""
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
-    check_draw_counts(samples, falsify_samples)
     start = time.perf_counter()
     equivalent = 0
     skips = 0
@@ -256,9 +252,7 @@ def run_suite(
         if ctx is None:
             skips += 1
             continue
-        report = check_equivalence(
-            law, ctx, samples=samples, seed=sample_seed, falsify_samples=falsify_samples
-        )
+        report = check_equivalence(law, ctx, seed=sample_seed)
         if report.verdict == EQUIVALENT:
             equivalent += 1
         elif report.verdict == VIOLATION:
@@ -278,35 +272,24 @@ def run_suite(
     )
 
 
-def search_counterexample(
-    law: LawId,
-    spec: InstanceSpec,
-    budget: int,
-    stmt: str | None = None,
-    samples: int = 200,
-    falsify_samples: int = 500,
-):
+def search_counterexample(law: LawId, spec: InstanceSpec, budget: int, stmt: str | None = None):
     """Search generated instances for a counterexample.
 
     With `stmt` given, looks for an instance where that single statement
     is false (hypothesis-satisfying instances only); every statement,
     set inclusions included, is decided exactly.  Without it, looks for
-    an equivalence violation, which for the theorems should never be
-    found; `samples` and `falsify_samples` then budget the witness draws
-    of check_equivalence.  Returns a serialized witness dict or None."""
+    an equivalence violation with check_equivalence at its default
+    witness-draw budgets, which for the theorems should never be found.
+    Returns a serialized witness dict or None."""
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
-    check_draw_counts(samples, falsify_samples)
     if stmt is not None and stmt not in LAWS[law].statements:
         raise InvalidSpec(f"law {law} has no statement {stmt!r}")
     for trial, sample_seed, ctx in _trials(law, spec, budget):
         if ctx is None:
             continue
         if stmt is None:
-            report = check_equivalence(
-                law, ctx, samples=samples, seed=sample_seed,
-                falsify_samples=falsify_samples,
-            )
+            report = check_equivalence(law, ctx, seed=sample_seed)
             if report.verdict == VIOLATION:
                 return _violation(trial, ctx, report)
             continue

@@ -104,12 +104,16 @@ class LawContext:
     The weight may come last: LawContext(a, b) holds everything that
     reads a and b alone, and set_weight(c) adds c once.  Until then c,
     c_star, cab and abc raise AttributeError.
+
+    pair_hypotheses_hold names the law whose pair_hypotheses are known to
+    hold on (a, b), or is None; check_hypotheses skips them for that law.
     """
 
     def __init__(self, a: Matrix, b: Matrix, c: Matrix | None = None):
         _check_instance(a, b, *(() if c is None else (c,)))
         self.a = a
         self.b = b
+        self.pair_hypotheses_hold = None
         self.a_dag = mp_inverse(a)
         self.b_dag = mp_inverse(b)
         self.a_star = a.star()
@@ -190,22 +194,6 @@ class LawContext:
     @cached_property
     def comp14_b(self) -> Matrix:
         return self.e - self.p
-
-
-def variant_context(ctx: LawContext, variant: LawId) -> LawContext:
-    """The substituted instance that reduces T24/T25/T26 to T23.
-
-    T24 evaluates T23 on (b*, a*, c*), T25 on (b+, a+, c), and T26 on
-    ((a+)*, (b+)*, c*).  The substituted blanket elements come out as
-    (s, r+, q+, p), (s, r, q, p) and (p, q+, r+, s) respectively, which
-    the tests confirm by recomputation."""
-    if variant == LawId.T24:
-        return LawContext(ctx.b_star, ctx.a_star, ctx.c_star)
-    if variant == LawId.T25:
-        return LawContext(ctx.b_dag, ctx.a_dag, ctx.c)
-    if variant == LawId.T26:
-        return LawContext(ctx.a_dag_star, ctx.b_dag_star, ctx.c_star)
-    raise ValueError(f"no reduction defined for {variant}")
 
 
 def _is_scalar_matrix(c: Matrix) -> bool:
@@ -505,10 +493,12 @@ LAWS = {
 
 def check_hypotheses(law: LawId, ctx: LawContext):
     """Raise HypothesisNotMet (naming the offender) unless the instance
-    satisfies every hypothesis of the law."""
+    satisfies every hypothesis of the law.  The pair hypotheses come last,
+    so skipping them where the context records that they hold for this
+    law names the same first failure."""
     spec = LAWS[law]
-    for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses,
-                        *spec.pair_hypotheses):
+    pair = () if getattr(ctx, "pair_hypotheses_hold", None) is law else spec.pair_hypotheses
+    for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses, *pair):
         if not holds(ctx):
             raise HypothesisNotMet(name)
 
@@ -640,14 +630,6 @@ class EquivalenceReport:
         return out
 
 
-def check_draw_counts(samples: int, falsify_samples: int) -> None:
-    """Reject a witness-search budget below one draw: it would search
-    nothing, and whether it is reached depends on the data."""
-    for name, value in (("samples", samples), ("falsify_samples", falsify_samples)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def check_equivalence(
     law: LawId, ctx: LawContext, samples: int = 200, seed: int = 0,
     falsify_samples: int = 500,
@@ -664,8 +646,12 @@ def check_equivalence(
     only if they find nothing; when the exact statements hold, the
     decider runs first, and `samples` draws follow only if it finds the
     inclusion false.  A failing inclusion whose draws find nothing gets
-    a witness from basis matrices."""
-    check_draw_counts(samples, falsify_samples)
+    a witness from basis matrices.  Each budget must be at least one
+    draw: a smaller one would search nothing, and whether it is reached
+    depends on the data."""
+    for name, value in (("samples", samples), ("falsify_samples", falsify_samples)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     try:
         check_hypotheses(law, ctx)
     except HypothesisNotMet as exc:

@@ -1,10 +1,10 @@
-"""K-inverses, their {1,3} and {1,4} parametrizations, and weight generation.
+"""K-inverse membership and weight generation.
 
-A K-inverse of a satisfies the Penrose equations named by K.  Every
-{1,3}-inverse of a is a+ + (e - a+ a) x and every {1,4}-inverse is
-a+ + x (e - a a+) for some x.  Weights commuting with a matrix and its
-star, or solving a law's weight conditions, are drawn from the kernel
-basis of the stacked linear system `matrix_equation_basis` builds.  A
+A K-inverse of a satisfies the Penrose equations named by K; the
+{1,3}- and {1,4}-inverses the laws quantify over are parametrized in
+laws._k_inverses.  Weights commuting with a matrix and its star, or
+solving a law's weight conditions, are drawn from the kernel basis of
+the stacked linear system `matrix_equation_basis` builds.  A
 rank computed modulo one prime (in F_p, p itself) first proves a generic
 kernel trivial (span(e), or {0} for the four-way weight), so the exact
 solve runs only when the kernel may be larger.
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 
 from .errors import DimensionMismatch, EmptyK
-from .geninv import mp_inverse, penrose_equations
+from .geninv import penrose_equations
 from .matrices import Matrix, nullspace_basis
 
 
@@ -30,28 +30,6 @@ def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
     if not ks <= {1, 2, 3, 4}:
         raise ValueError(f"K must be a subset of {{1, 2, 3, 4}}, got {sorted(ks)}")
     return all(penrose_equations(a, x, ks).values())
-
-
-def sample_13_inverse(a: Matrix, x: Matrix) -> Matrix:
-    """a+ + (e - a+ a) x: always a {1,3}-inverse of a, and every
-    {1,3}-inverse arises this way (take x = candidate - a+)."""
-    a_dag = mp_inverse(a)
-    if x.shape != a_dag.shape:
-        raise DimensionMismatch(f"parameter must have shape {a_dag.shape}, got {x.shape}")
-    x._same_domain(a)
-    e = Matrix.identity(a.cols, a.domain)
-    return a_dag + (e - a_dag @ a) @ x
-
-
-def sample_14_inverse(a: Matrix, x: Matrix) -> Matrix:
-    """Dual parametrization a+ + x (e - a a+); star maps the {1,4} family
-    of a onto the {1,3} family of a*."""
-    a_dag = mp_inverse(a)
-    if x.shape != a_dag.shape:
-        raise DimensionMismatch(f"parameter must have shape {a_dag.shape}, got {x.shape}")
-    x._same_domain(a)
-    e = Matrix.identity(a.rows, a.domain)
-    return a_dag + x @ (e - a @ a_dag)
 
 
 def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) -> Matrix:

@@ -34,18 +34,17 @@ from rolcheck import (
     law_statement,
     mp_exists,
     mp_inverse,
-    mp_via_star_group,
     prime_field,
-    prop21_check,
     rank,
     run_suite,
-    sample_13_inverse,
     sample_commutant,
-    variant_context,
 )
 from rolcheck.harness import _trial_seeds, random_matrix_of_rank
 from rolcheck.laws import LAWS
 from rolcheck.matrices import random_matrix
+from k_inverse_reference import sample_13_inverse
+from mp_reference import mp_via_star_group, prop21_check
+from variant_reference import variant_context
 
 G = GAUSSIAN_RATIONAL
 REPO = Path(__file__).resolve().parents[1]

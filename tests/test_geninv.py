@@ -13,16 +13,15 @@ from rolcheck import (
     is_k_inverse,
     mp_exists,
     mp_inverse,
-    mp_via_star_group,
     penrose_equations,
     prime_field,
-    prop21_check,
     rank,
     sample_commutant,
 )
 from rolcheck.harness import random_matrix_of_rank
 from rolcheck.matrices import random_matrix
 from rolcheck.peirce import matrix_equation_basis, random_combination
+from mp_reference import mp_via_star_group, prop21_check
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)

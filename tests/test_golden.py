@@ -54,7 +54,7 @@ from rolcheck.harness import _constrained_weight, random_matrix_of_rank
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
 DOMAINS = (G, F5)
-DRAWS = 4  # samples and falsify_samples everywhere
+DRAWS = 4  # samples and falsify_samples of every check_equivalence call
 
 # Statement ids per law, in reporting order.
 STATEMENT_IDS = {
@@ -162,10 +162,9 @@ def _law_reports(law, pool):
     for domain in DOMAINS:
         mode = "scalar" if law == LawId.C27 else "commutant"
         spec = InstanceSpec(domain=domain, size=2, weight_mode=mode, seed=5)
-        suite = run_suite(law, spec, 4, samples=DRAWS, falsify_samples=DRAWS)
+        suite = run_suite(law, spec, 4)
         searches = [
-            search_counterexample(law, replace(spec, seed=6), 4, stmt=stmt,
-                                  samples=DRAWS, falsify_samples=DRAWS)
+            search_counterexample(law, replace(spec, seed=6), 4, stmt=stmt)
             for stmt in (None, *STATEMENT_IDS[law])
         ]
         runs.append({"suite": suite.to_json_dict(), "searches": searches})

@@ -12,6 +12,7 @@ of the target, also when the draws find nothing and the witness comes
 from basis matrices.
 """
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -32,8 +33,11 @@ from rolcheck import (
     is_k_inverse,
     prime_field,
 )
+from rolcheck.harness import random_matrix_of_rank
 from rolcheck.laws import LAWS, SampledVerdict
+from rolcheck.matrices import random_matrix
 from inclusion_reference import INCLUSIONS, sampled_inclusion
+from k_inverse_reference import sample_13_inverse, sample_14_inverse
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
@@ -160,3 +164,28 @@ def test_every_reported_witness_replays_with_one_draw():
                 witnesses += 1
                 assert _replays(law, ctx, report.witness), (law, seed)
     assert witnesses > 0
+
+
+@pytest.mark.parametrize("ks", [(1, 3), (1, 4)], ids=["13", "14"])
+@pytest.mark.parametrize("domain", (G, prime_field(3), F5, prime_field(7)), ids=lambda d: d.name)
+def test_k_inverses_match_the_reference_families(domain, ks):
+    # laws._k_inverses, the one parametrization the checker runs, against
+    # the families built from each matrix alone, on concrete Y and Z.
+    family = sample_13_inverse if 3 in ks else sample_14_inverse
+    rng = random.Random(17)
+    compared = sides_differ = 0
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+        b = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+        try:
+            ctx = LawContext(a, b)
+        except NoMPInverse:
+            continue
+        y, z = random_matrix(domain, n, n, rng), random_matrix(domain, n, n, rng)
+        assert rolcheck.laws._k_inverses(ctx, ks, y, z) == (family(b, z), family(a, y))
+        compared += 1
+        sides = (ctx.comp13_a, ctx.comp13_b) if 3 in ks else (ctx.comp14_a, ctx.comp14_b)
+        sides_differ += sides[0] != sides[1]
+    # Complements that differ between a and b make a swapped side show.
+    assert compared >= 20 and sides_differ >= 10

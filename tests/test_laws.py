@@ -29,10 +29,10 @@ from rolcheck import (
     mp_inverse,
     prime_field,
     rank,
-    variant_context,
 )
 from rolcheck.harness import _trial_seeds
 from rolcheck.laws import LAWS
+from variant_reference import variant_context
 
 G = GAUSSIAN_RATIONAL
 
@@ -323,6 +323,20 @@ def test_check_equivalence_outcomes(monkeypatch, case):
         verdict, values, details, notes)
     assert (report.witness is not None) == has_witness
     assert log == calls
+
+
+@pytest.mark.parametrize("budget", ["samples", "falsify_samples"])
+def test_check_equivalence_rejects_a_draw_budget_below_one(budget):
+    # The budget is checked before the hypotheses, so the error does not
+    # depend on the instance.
+    a, b = _witness_pair()
+    met = LawContext(a, b, Matrix.identity(2, G))
+    unmet = LawContext(a, b, Matrix.from_rows([[0, 1], [0, 0]], G))
+    assert check_equivalence(LawId.T32, unmet).verdict == HYPOTHESIS_NOT_MET
+    for ctx in (met, unmet):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"^{budget} must be >= 1, got {value}$"):
+                check_equivalence(LawId.T32, ctx, **{budget: value})
 
 
 @pytest.mark.parametrize("law", [LawId.T32, LawId.C33, LawId.T34, LawId.C35,

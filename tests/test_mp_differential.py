@@ -21,14 +21,13 @@ from rolcheck import (
     is_k_inverse,
     mp_exists,
     mp_inverse,
-    mp_via_star_group,
     prime_field,
-    sample_13_inverse,
-    sample_14_inverse,
 )
 from rolcheck.harness import random_matrix_of_rank
 from rolcheck.matrices import random_matrix
 from rref_reference import rref as reference_rref
+from k_inverse_reference import sample_13_inverse, sample_14_inverse
+from mp_reference import mp_via_star_group
 
 DOMAINS = (GAUSSIAN_RATIONAL, prime_field(5), prime_field(7))
 ALL_K = [set(k) for r in range(1, 5) for k in itertools.combinations((1, 2, 3, 4), r)]

@@ -10,13 +10,12 @@ from rolcheck import (
     mp_inverse,
     penrose_equations,
     prime_field,
-    sample_13_inverse,
-    sample_14_inverse,
     sample_commutant,
 )
 from rolcheck.geninv import commutes_with_pair
 from rolcheck.harness import random_matrix_of_rank
 from rolcheck.matrices import inverse, random_matrix
+from k_inverse_reference import sample_13_inverse, sample_14_inverse
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)

@@ -2,7 +2,8 @@
 reach a verdict.
 
 harness._trials builds a weightless LawContext from the pair, checks the
-law's pair_hypotheses on it and only then draws c through gen_instance.
+law's pair_hypotheses on it and only then draws c through gen_instance;
+the context records that they hold, so check_hypotheses skips them.
 These tests hold it against the eager loop of eager_trials_reference.py,
 which draws every weight first: suites and searches must agree, and the
 trials kept must be those that the reference's own transcription of the
@@ -10,6 +11,7 @@ hypotheses on a and b alone keeps.  They also pin the order in which
 check_hypotheses walks each law's hypotheses, which `law check` reports.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -21,6 +23,7 @@ from rolcheck import (
     GAUSSIAN_RATIONAL,
     DimensionMismatch,
     DomainMismatch,
+    HypothesisNotMet,
     InstanceSpec,
     InvalidSpec,
     LawContext,
@@ -39,7 +42,6 @@ G = GAUSSIAN_RATIONAL
 F3, F5, F7 = prime_field(3), prime_field(5), prime_field(7)
 DOMAINS = (G, F3, F5, F7)
 TRIALS = 4
-DRAWS = 4  # samples and falsify_samples
 
 # The cells of the differential: every law at n = 2, 3 and the four-way
 # laws at n = 4, each over all four domains.
@@ -54,8 +56,7 @@ def _spec(law, domain, n, seed):
 def _outputs(law, spec):
     """run_suite's report and search_counterexample without and with each
     statement, as plain data."""
-    out = [run_suite(law, spec, TRIALS, samples=DRAWS, falsify_samples=DRAWS).to_json_dict(),
-           search_counterexample(law, spec, TRIALS, samples=DRAWS, falsify_samples=DRAWS)]
+    out = [run_suite(law, spec, TRIALS).to_json_dict(), search_counterexample(law, spec, TRIALS)]
     out += [search_counterexample(law, spec, TRIALS, stmt=stmt) for stmt in LAWS[law].statements]
     return out
 
@@ -91,6 +92,44 @@ def test_weights_are_drawn_only_for_kept_trials(monkeypatch):
     # T38's weights meet its hypotheses on c, so every weight drawn is used.
     assert res.hypothesis_skips > 0
     assert len(calls) == res.equivalent + len(res.violations) < trials
+
+
+@pytest.mark.parametrize("law", [law for law in LawId if LAWS[law].pair_hypotheses], ids=str)
+def test_each_pair_hypothesis_is_checked_once_per_trial(law, monkeypatch):
+    checked, contexts = Counter(), []
+
+    def counted(name, holds):
+        def wrapped(ctx):
+            contexts.append(ctx)  # keeps every id distinct
+            checked[name, id(ctx)] += 1
+            return holds(ctx)
+        return name, wrapped
+
+    spec = LAWS[law]
+    monkeypatch.setitem(LAWS, law, replace(spec, pair_hypotheses=tuple(
+        counted(*hypothesis) for hypothesis in spec.pair_hypotheses)))
+    kept = 0
+    for domain in (G, F5):
+        trial_spec = _spec(law, domain, 3, seed=5)
+        res = run_suite(law, trial_spec, 6)
+        kept += res.equivalent + len(res.violations)
+        for stmt in (None, *LAWS[law].statements):
+            search_counterexample(law, trial_spec, 6, stmt=stmt)
+    assert kept > 0
+    assert set(checked.values()) == {1}
+
+
+def test_recorded_pair_hypotheses_are_skipped_for_their_law_only():
+    # Over F_5, ab has no Moore-Penrose inverse.
+    a = Matrix.from_rows([[0, 0], [0, 1]], F5)
+    b = Matrix.from_rows([[0, 1], [1, 2]], F5)
+    ctx = LawContext(a, b, Matrix.identity(2, F5))
+    with pytest.raises(HypothesisNotMet, match="ab is Moore-Penrose invertible"):
+        laws.check_hypotheses(LawId.T23, ctx)
+    ctx.pair_hypotheses_hold = LawId.T23
+    laws.check_hypotheses(LawId.T23, ctx)
+    with pytest.raises(HypothesisNotMet, match="ab is Moore-Penrose invertible"):
+        laws.check_hypotheses(LawId.GREVILLE, ctx)
 
 
 def test_bad_weight_spec_is_rejected_before_the_first_trial():
