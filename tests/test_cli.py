@@ -235,26 +235,39 @@ def test_prime_field_suite_cli(tmp_path):
     assert report["hypothesis_skips"] > 0
 
 
-# The witness-draw budgets and their seed are fixed; no flag sets them.
-REMOVED_FLAGS = [(command, flag) for command in ("suite", "law search", "law check")
-                 for flag in ("--samples", "--falsify-samples")] + [("law check", "--seed")]
+# The witness-draw budgets and their seed are fixed; no flag sets them, so a
+# zero budget is refused as an unrecognized argument before any trial.
+@pytest.mark.parametrize("law", ["T23", "T32"])
+@pytest.mark.parametrize("flag", ["--samples", "--falsify-samples"])
+@pytest.mark.parametrize("command", ["suite", "law search", "law check"])
+def test_zero_draw_count_exits_3_before_any_trial(tmp_path, capsys, command, law, flag):
+    from rolcheck.cli import main
 
-
-@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
-                         ids=[f"{c.replace(' ', '-')}-{f.lstrip('-')}" for c, f in REMOVED_FLAGS])
-def test_removed_draw_flags_exit_3_as_unrecognized(tmp_path, command, flag):
     if command == "law check":
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         write_matrix(a, IDENTITY2)
         write_matrix(b, IDENTITY2)
-        argv = ["law", "check", "--law", "T32", "--a", str(a), "--b", str(b)]
+        argv = ["law", "check", "--law", law, "--a", str(a), "--b", str(b)]
     else:
-        argv = [*command.split(), "--law", "T32", "--size", "2", "--weight", "identity",
-                "--trials" if command == "suite" else "--budget", "3"]
-    result = run_cli([*argv, flag, "1"])
+        argv = [*command.split(), "--law", law, "--size", "2", "--weight", "identity",
+                "--seed", "1", "--trials" if command == "suite" else "--budget", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "0"])
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.strip().splitlines()[-1].endswith(f"error: unrecognized arguments: {flag} 0"), err
+
+
+def test_law_check_seed_flag_exits_3_as_unrecognized(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    write_matrix(a, IDENTITY2)
+    write_matrix(b, IDENTITY2)
+    result = run_cli(["law", "check", "--law", "T32", "--a", str(a), "--b", str(b),
+                      "--seed", "1"])
     assert result.returncode == 3, result.stdout + result.stderr
     assert result.stdout == ""
-    assert f"unrecognized arguments: {flag} 1" in result.stderr
+    assert "unrecognized arguments: --seed 1" in result.stderr
     assert "Traceback" not in result.stderr
 
 
@@ -265,8 +278,12 @@ F5_AB_NO_MP = (
 
 
 @pytest.mark.parametrize("pair", ["hypotheses-met", "ab-without-mp"])
-@pytest.mark.parametrize("extra", [["--stmt", "iv"]], ids=["unknown-stmt"])
-def test_bad_law_check_input_exits_3_whatever_the_data(tmp_path, pair, extra):
+@pytest.mark.parametrize("extra,message", [
+    (["--stmt", "iv"], "input error"),
+    (["--stmt", "i", "--samples", "0"], "unrecognized arguments: --samples 0"),
+    (["--stmt", "i", "--falsify-samples", "0"], "unrecognized arguments: --falsify-samples 0"),
+], ids=["unknown-stmt", "zero-samples", "zero-falsify-samples"])
+def test_bad_law_check_input_exits_3_whatever_the_data(tmp_path, pair, extra, message):
     # Over F_5, ab has no Moore-Penrose inverse in the second pair, so the
     # GREVILLE hypotheses fail; the input error must still win.
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -277,4 +294,4 @@ def test_bad_law_check_input_exits_3_whatever_the_data(tmp_path, pair, extra):
                       *extra])
     assert result.returncode == 3, result.stdout + result.stderr
     assert result.stdout == ""
-    assert "input error" in result.stderr
+    assert message in result.stderr
