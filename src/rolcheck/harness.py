@@ -26,7 +26,7 @@ from .laws import (
     law_statement,
 )
 from .matrices import Matrix, matrix_to_json, random_matrix, rank
-from .peirce import matrix_equation_basis, random_combination, sample_commutant
+from .peirce import sample_commutant, sample_constrained
 from .scalars import ScalarDomain
 
 MAX_SIZE = 8
@@ -77,24 +77,6 @@ def _nonzero_scalar(domain, rng):
     return domain.one()
 
 
-def _constrained_weight(m: Matrix, ab: Matrix, rng) -> Matrix:
-    """Weight for the four-way laws: c = e + y with y commuting with m and
-    m*, y ab = 0 and (ab)* y = 0 (the latter is c* ab = ab).  Falls back
-    to c = e when the solution space is trivial."""
-    n = m.rows
-    basis = matrix_equation_basis(
-        n, m.domain,
-        commute_with=(m, m.star()),
-        left_zero=(ab.star(),),
-        right_zero=(ab,),
-    )
-    e = Matrix.identity(n, m.domain)
-    if not basis:
-        return e
-    y = random_combination(basis, m.domain, rng)
-    return e + y
-
-
 def _draw_pair(spec: InstanceSpec):
     """(a, b, generator): the spec's pair, drawn first from a generator
     seeded with spec.seed, and the generator the weight is drawn from."""
@@ -121,7 +103,8 @@ def _fixed_weight_scalar(spec: InstanceSpec, law: LawId | None):
 
 def gen_instance(spec: InstanceSpec, law: LawId | None = None, pair=None):
     """Deterministic (a, b, c) triple for the spec (and target law, which
-    fixes the side c must commute with).
+    fixes the side c must commute with and, for a four-way law, the
+    products of LawSpec.weight_zero that c - e must annihilate).
 
     The pair comes first and the weight last from one generator.  `pair`
     is the (a, b, generator) triple of _draw_pair(spec), for a caller
@@ -137,8 +120,8 @@ def gen_instance(spec: InstanceSpec, law: LawId | None = None, pair=None):
     elif mode == "scalar":
         lam = lam if lam is not None else _nonzero_scalar(spec.domain, rng)
         c = Matrix.identity(n, spec.domain).scale(lam)
-    elif law is not None and LAWS[law].weight_fixes_ab:
-        c = _constrained_weight(a if side == "a" else b, a @ b, rng)
+    elif law is not None and LAWS[law].weight_zero is not None:
+        c = sample_constrained(a if side == "a" else b, *LAWS[law].weight_zero(a @ b), rng)
     elif side in ("a", "b"):
         c = sample_commutant(a if side == "a" else b, rng.getrandbits(32))
     else:

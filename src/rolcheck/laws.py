@@ -31,8 +31,9 @@ Law identifiers and their statement (i):
     T39       dual four-way with {1,4} and c b+ a+
 
 Everything the checker knows about a law (its commute side, further
-hypotheses, statements and set inclusion, and whether its weight must
-also fix ab) is one LawSpec entry of the LAWS registry below.
+hypotheses, statements and set inclusion, and for the four-way laws the
+products their generated weight must fix) is one LawSpec entry of the
+LAWS registry below.
 
 A set inclusion is decided exactly.  Its K-inverses are the affine
 families a+ + (e - a+ a) Y (K = {1,3}) or a+ + Y (e - a a+) (K = {1,4})
@@ -401,13 +402,16 @@ class LawSpec:
     Hypotheses are (name, predicate on LawContext) pairs.  Those that
     read a and b alone go in pair_hypotheses: suites check them before
     they draw a weight, on a context that has none.  check_hypotheses
-    walks the side hypothesis, then hypotheses, then pair_hypotheses."""
+    walks the side hypothesis, then hypotheses, then pair_hypotheses.
+    A four-way law's weight_zero maps ab to the (left_zero, right_zero)
+    products l, r with l y = 0 and y r = 0 for y = c - e exactly when c
+    meets its hypotheses; peirce.sample_constrained draws such a c."""
 
     side: Optional[str]  # c commutes with this and its star: "a", "b", "scalar" or None
     hypotheses: tuple  # further hypotheses that read c, in checking order
     statements: dict  # statement id -> exact evaluator (None: sampled), in reporting order
     sampled: Optional[SampledStatement] = None
-    weight_fixes_ab: bool = False  # generated weights also satisfy c ab = ab (T38/T39)
+    weight_zero: Optional[Callable[[Matrix], tuple]] = None  # ab -> (left_zero, right_zero)
     pair_hypotheses: tuple = ()  # hypotheses on a and b alone, checked last
 
 
@@ -464,7 +468,7 @@ LAWS = {
         SampledStatement(
             "ii", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c
         ),
-        weight_fixes_ab=True,
+        weight_zero=lambda ab: ((ab.star(),), (ab,)),  # (ab)* y = 0, y ab = 0
         pair_hypotheses=(
             _AB_MP,
             ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
@@ -481,7 +485,7 @@ LAWS = {
         SampledStatement(
             "ii", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
         ),
-        weight_fixes_ab=True,
+        weight_zero=lambda ab: ((ab.star(),), (ab,)),
         pair_hypotheses=(
             _AB_MP,
             ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
@@ -497,7 +501,7 @@ def check_hypotheses(law: LawId, ctx: LawContext):
     so skipping them where the context records that they hold for this
     law names the same first failure."""
     spec = LAWS[law]
-    pair = () if getattr(ctx, "pair_hypotheses_hold", None) is law else spec.pair_hypotheses
+    pair = () if ctx.pair_hypotheses_hold is law else spec.pair_hypotheses
     for name, holds in (*_SIDE_HYPOTHESES.get(spec.side, ()), *spec.hypotheses, *pair):
         if not holds(ctx):
             raise HypothesisNotMet(name)

@@ -2,9 +2,10 @@
 
 A K-inverse of a satisfies the Penrose equations named by K; the
 {1,3}- and {1,4}-inverses the laws quantify over are parametrized in
-laws._k_inverses.  Weights commuting with a matrix and its star, or
-solving a law's weight conditions, are drawn from the kernel basis of
-the stacked linear system `matrix_equation_basis` builds.  A
+laws._k_inverses.  Weights commuting with a matrix and its star
+(sample_commutant), or also fixing the products a four-way law names
+(sample_constrained), are drawn from the kernel basis of the stacked
+linear system `matrix_equation_basis` builds.  A
 rank computed modulo one prime (in F_p, p itself) first proves a generic
 kernel trivial (span(e), or {0} for the four-way weight), so the exact
 solve runs only when the kernel may be larger.
@@ -120,6 +121,16 @@ def random_combination(basis, domain, rng) -> Matrix:
         term = m.scale(coeff)
         acc = term if acc is None else acc + term
     return acc
+
+
+def sample_constrained(m: Matrix, left_zero, right_zero, rng) -> Matrix:
+    """Weight c = e + y for a four-way law: y commutes with m and m*, l y = 0
+    for l in left_zero and y r = 0 for r in right_zero, the products the
+    law's LawSpec.weight_zero names.  c = e when only y = 0 solves that."""
+    basis = matrix_equation_basis(m.rows, m.domain, commute_with=(m, m.star()),
+                                  left_zero=left_zero, right_zero=right_zero)
+    e = Matrix.identity(m.rows, m.domain)
+    return e + random_combination(basis, m.domain, rng) if basis else e
 
 
 def sample_commutant(b: Matrix, seed: int) -> Matrix:

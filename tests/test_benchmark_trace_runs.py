@@ -5,6 +5,11 @@ spans, so a trial loop that stops calling `harness.gen_instance` breaks
 it, while the untraced run and the rest of the tests still pass.  Each
 workload runs one traced round on a copy of `src/` and `perfbench/`, so
 that its span file is written into the copy.
+
+The tracer counts `peirce.system_entries` from the blocks that
+`matrix_equation_basis` takes as keywords, so a weight sampler that
+passed them positionally would read zero there while the run completes;
+the workloads that solve a weight system must count its calls and entries.
 """
 
 import json
@@ -18,6 +23,8 @@ import pytest
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
+
+WEIGHT_SOLVES = ("t23_weight_qi_n6", "t38_weight_f7_n6")
 
 
 @pytest.fixture(scope="module")
@@ -39,3 +46,7 @@ def test_traced_run_completes(checkout, workload):
     assert result.returncode == 0, result.stderr[-2000:]
     last = json.loads(result.stdout.rstrip("\n").split("\n")[-1])
     assert last["correct"] is True, result.stdout
+    if workload in WEIGHT_SOLVES:
+        metrics = last["metrics"]
+        assert metrics["peirce.matrix_equation_basis.calls"]["value"] > 0, result.stdout
+        assert metrics["peirce.system_entries"]["value"] > 0, result.stdout

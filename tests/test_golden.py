@@ -19,7 +19,8 @@ checking order changes a hash.
 
 A third set of hashes pins weights at n = 6, the size where exact
 elimination on the weight system swells: sample_commutant over Q(i) and
-the four-way weight of harness._constrained_weight over F_7.
+the four-way weight of peirce.sample_constrained over F_7, on the
+products LAWS[T38].weight_zero names.
 
 To print the hashes of the current code: python tests/test_golden.py
 """
@@ -49,7 +50,9 @@ from rolcheck import (
     sample_commutant,
     search_counterexample,
 )
-from rolcheck.harness import _constrained_weight, random_matrix_of_rank
+from rolcheck.harness import random_matrix_of_rank
+from rolcheck.laws import LAWS
+from rolcheck.peirce import sample_constrained
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
@@ -226,7 +229,7 @@ def compute_weight_hashes():
         rng = random.Random(seed)
         u = random_matrix_of_rank(f7, 6, 2, 2, rng)
         ab = random_matrix_of_rank(f7, 6, 6, 1, rng)
-        c = _constrained_weight(u @ u.star(), ab, rng)
+        c = sample_constrained(u @ u.star(), *LAWS[LawId.T38].weight_zero(ab), rng)
         hashes[f"f7-{seed}"] = _digest(matrix_to_json(c))
     return hashes
 

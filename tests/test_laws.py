@@ -431,7 +431,7 @@ def test_registry_entry_is_consistent(law):
         assert sampled == [spec.sampled.stmt]
         assert spec.sampled.ks in ((1, 3), (1, 4))
     # the four-way weights fix ab from the side they commute with
-    assert not spec.weight_fixes_ab or spec.side in ("a", "b")
+    assert spec.weight_zero is None or spec.side in ("a", "b")
 
 
 _PLANTED_MP_SCRIPT = """

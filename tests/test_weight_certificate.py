@@ -19,9 +19,10 @@ from hypothesis import strategies as st
 import rolcheck.peirce
 import rolcheck.scalars
 from rolcheck import GAUSSIAN_RATIONAL, LawId, Matrix, prime_field
-from rolcheck.harness import InstanceSpec, _constrained_weight, gen_instance, random_matrix_of_rank
+from rolcheck.harness import InstanceSpec, gen_instance, random_matrix_of_rank
+from rolcheck.laws import LAWS
 from rolcheck.matrices import inverse, nullspace_basis, random_matrix, rank
-from rolcheck.peirce import _equation_system, matrix_equation_basis
+from rolcheck.peirce import _equation_system, matrix_equation_basis, sample_constrained
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.scalars._P
@@ -182,8 +183,8 @@ def test_rank_mod_p_bounds_the_rank(domain, rows, cols, target, times_p, seed):
 
 
 def _four_way_outcomes(pairs):
-    """For each (m, ab, seed): whether the certificate fired, the weight,
-    and the weight with the certificate switched off."""
+    """For each (m, left_zero, right_zero, seed): whether the certificate
+    fired, the weight, and the weight with the certificate switched off."""
     fired = []
     real = rolcheck.peirce._rank_mod_p
 
@@ -193,12 +194,12 @@ def _four_way_outcomes(pairs):
         return rank
 
     out = []
-    for m, ab, seed in pairs:
+    for m, left, right, seed in pairs:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(rolcheck.peirce, "_rank_mod_p", spy)
-            c = _constrained_weight(m, ab, random.Random(seed))
+            c = sample_constrained(m, left, right, random.Random(seed))
             patch.setattr(rolcheck.peirce, "_rank_mod_p", lambda system, stop: -1)
-            exact = _constrained_weight(m, ab, random.Random(seed))
+            exact = sample_constrained(m, left, right, random.Random(seed))
         out.append((fired.pop() if fired else None, c, exact))
     return out
 
@@ -213,8 +214,9 @@ def test_four_way_weight_equals_the_exact_path():
                 b = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
                 ab = a @ b
                 if not ab.is_zero():
-                    pairs.append((b, ab, seed))
-                    pairs.append((a, ab, seed))
+                    products = LAWS[LawId.T38].weight_zero(ab)
+                    pairs.append((b, *products, seed))
+                    pairs.append((a, *products, seed))
         outcomes = _four_way_outcomes(pairs)
         assert all(c == exact for _, c, exact in outcomes), domain
         assert sum(fired is True for fired, _, _ in outcomes) >= len(outcomes) // 2, domain
@@ -226,7 +228,8 @@ def test_four_way_weight_with_ab_zero_declines():
     {0} and the certificate must decline."""
     for domain in DOMAINS:
         rng = random.Random(39)
-        pairs = [(random_matrix_of_rank(domain, n, n, rank, rng), Matrix.zeros(n, n, domain), n)
+        pairs = [(random_matrix_of_rank(domain, n, n, rank, rng),
+                  *LAWS[LawId.T38].weight_zero(Matrix.zeros(n, n, domain)), n)
                  for n in (2, 3, 4) for rank in (n - 1, n)]
         outcomes = _four_way_outcomes(pairs)
         assert [fired for fired, _, _ in outcomes] == [False] * len(pairs), domain

@@ -13,6 +13,7 @@ check_hypotheses walks each law's hypotheses, which `law check` reports.
 
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -245,7 +246,7 @@ def test_hypothesis_walk_is_pinned(law, monkeypatch):
                         {side: recording(h) for side, h in laws._SIDE_HYPOTHESES.items()})
     monkeypatch.setitem(LAWS, law, replace(spec, hypotheses=recording(spec.hypotheses),
                                            pair_hypotheses=recording(spec.pair_hypotheses)))
-    laws.check_hypotheses(law, None)
+    laws.check_hypotheses(law, SimpleNamespace(pair_hypotheses_hold=None))
     reads_c, on_pair = WALK[law]
     assert tuple(walked) == reads_c + on_pair
     assert tuple(name for name, _ in spec.pair_hypotheses) == on_pair
