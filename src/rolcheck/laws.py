@@ -485,7 +485,7 @@ LAWS = {
         SampledStatement(
             "ii", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
         ),
-        weight_zero=lambda ab: ((ab.star(),), (ab,)),
+        weight_zero=lambda ab: ((ab,), (ab.star(),)),  # ab y = 0, y (ab)* = 0
         pair_hypotheses=(
             _AB_MP,
             ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),

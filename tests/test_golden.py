@@ -20,7 +20,8 @@ checking order changes a hash.
 A third set of hashes pins weights at n = 6, the size where exact
 elimination on the weight system swells: sample_commutant over Q(i) and
 the four-way weight of peirce.sample_constrained over F_7, on the
-products LAWS[T38].weight_zero names.
+products LAWS[T38].weight_zero names.  One more pins a T39 weight that
+gen_instance draws over F_3 at n = 3, on T39's own products.
 
 To print the hashes of the current code: python tests/test_golden.py
 """
@@ -210,12 +211,14 @@ def test_golden_reports_under_planted_fault():
 # Weights at n = 6, keyed by domain and seed.  Over Q(i), a commutant of
 # a rank-4 b (a 72x36 system).  Over F_7, the four-way weight for
 # m = u u* of rank 2 and a rank-1 ab (a 144x36 system); the weight bases
-# have dimension 9 and 10, where a generic rank-4 m leaves only e.
+# have dimension 9 and 10, where a generic rank-4 m leaves only e.  A
+# T39 weight over F_3 whose draw on T38's products breaks abc = ab.
 GOLDEN_WEIGHTS = {
     "qi-0": "4837cf210e3df46077b2349b24d97396184c6dffc91047f99aea7e7278ae1f97",
     "qi-1": "9714031e0801792db8e786e9938bc9e4ae3194aed42812c17c4f1904bd73cb26",
     "f7-0": "f1ba7df709f25977151dedceb350bc228fe55d42d7bfc9647e9a47cd3c9aea0e",
     "f7-2": "4e9d1e3464609983888f4c1af01e27dabaf2d2949e39b7014ba2a3aa98aeb363",
+    "t39-f3-7": "0ff4a915eb150c52d77295dddb0c606f3cda8d0f21d7f5b8d52a73be9025539f",
 }
 
 
@@ -231,6 +234,8 @@ def compute_weight_hashes():
         ab = random_matrix_of_rank(f7, 6, 6, 1, rng)
         c = sample_constrained(u @ u.star(), *LAWS[LawId.T38].weight_zero(ab), rng)
         hashes[f"f7-{seed}"] = _digest(matrix_to_json(c))
+    spec = InstanceSpec(prime_field(3), 3, weight_mode="commutant", seed=7)
+    hashes["t39-f3-7"] = _digest(matrix_to_json(gen_instance(spec, LawId.T39)[2]))
     return hashes
 
 

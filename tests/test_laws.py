@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -432,6 +433,30 @@ def test_registry_entry_is_consistent(law):
         assert spec.sampled.ks in ((1, 3), (1, 4))
     # the four-way weights fix ab from the side they commute with
     assert spec.weight_zero is None or spec.side in ("a", "b")
+
+
+@pytest.mark.parametrize("law", [LawId.T38, LawId.T39], ids=str)
+def test_generated_four_way_weights_meet_the_hypotheses(law):
+    """Every weight other than e that gen_instance draws for a four-way
+    law meets the law's side hypothesis and its hypotheses on c, in every
+    domain, whether or not a+ and b+ exist.  Budget: seeds 0-49 at
+    n = 2-4 in four domains, about 1.5 s per law.  Drawn on T38's
+    products, five F_3 weights of T39 here broke abc = ab (n=2 seeds 17
+    and 40, n=3 seeds 7 and 13, n=4 seed 8)."""
+    spec = LAWS[law]
+    hypotheses = (*rolcheck.laws._SIDE_HYPOTHESES[spec.side], *spec.hypotheses)
+    for domain in (G, prime_field(3), prime_field(5), prime_field(7)):
+        for n in (2, 3, 4):
+            for seed in range(50):
+                instance = InstanceSpec(domain, n, weight_mode="commutant", seed=seed)
+                a, b, c = gen_instance(instance, law)
+                if c == Matrix.identity(n, domain):
+                    continue
+                ab = a @ b
+                ctx = SimpleNamespace(a=a, b=b, c=c, c_star=c.star(), ab=ab,
+                                      cab=c @ ab, abc=ab @ c)
+                failed = [name for name, holds in hypotheses if not holds(ctx)]
+                assert failed == [], (domain.name, n, seed)
 
 
 _PLANTED_MP_SCRIPT = """

@@ -214,9 +214,10 @@ def test_four_way_weight_equals_the_exact_path():
                 b = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
                 ab = a @ b
                 if not ab.is_zero():
-                    products = LAWS[LawId.T38].weight_zero(ab)
-                    pairs.append((b, *products, seed))
-                    pairs.append((a, *products, seed))
+                    for law in (LawId.T38, LawId.T39):
+                        products = LAWS[law].weight_zero(ab)
+                        pairs.append((b, *products, seed))
+                        pairs.append((a, *products, seed))
         outcomes = _four_way_outcomes(pairs)
         assert all(c == exact for _, c, exact in outcomes), domain
         assert sum(fired is True for fired, _, _ in outcomes) >= len(outcomes) // 2, domain
