@@ -403,9 +403,9 @@ class LawSpec:
     read a and b alone go in pair_hypotheses: suites check them before
     they draw a weight, on a context that has none.  check_hypotheses
     walks the side hypothesis, then hypotheses, then pair_hypotheses.
-    A four-way law's weight_zero maps ab to the (left_zero, right_zero)
-    products l, r with l y = 0 and y r = 0 for y = c - e exactly when c
-    meets its hypotheses; peirce.sample_constrained draws such a c."""
+    A four-way law's weight_zero maps ab to (left_zero, right_zero): c
+    meets its hypotheses exactly when y = c - e has l y = 0 and y r = 0
+    for each l and r there.  peirce.sample_constrained draws such a c."""
 
     side: Optional[str]  # c commutes with this and its star: "a", "b", "scalar" or None
     hypotheses: tuple  # further hypotheses that read c, in checking order
