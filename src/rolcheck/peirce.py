@@ -5,14 +5,17 @@ A K-inverse of a satisfies the Penrose equations named by K; the
 laws._k_inverses.  Weights commuting with a matrix and its star
 (sample_commutant), or also fixing the products a four-way law names
 (sample_constrained), are drawn from the kernel basis of the stacked
-linear system `matrix_equation_basis` builds.  A
-rank computed modulo one prime (in F_p, p itself) first proves a generic
-kernel trivial (span(e), or {0} for the four-way weight), so the exact
-solve runs only when the kernel may be larger.
+linear system `matrix_equation_basis` builds.  A certificate with n
+unknowns first writes the weight as a polynomial in one cyclic element of
+the algebra the commute matrices generate; its rank modulo one prime (in
+F_p, p itself) proves a generic kernel trivial (span(e), or {0} for the
+four-way weight), so the exact solve runs only when the kernel may be
+larger.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 
 from .errors import DimensionMismatch, EmptyK
@@ -58,33 +61,103 @@ def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) ->
     return Matrix(len(rows), size, domain, [v for row in rows for v in row])
 
 
-def _rank_mod_p(system: Matrix, stop: int) -> int:
-    """Rank mod p of the system, counted up to `stop`.
+# (lambda, mu) of the candidates H = m + lambda m' + mu m m', where m and m'
+# are the first and the last commute matrix: (b, b*) for every weight.
+_CANDIDATES = ((1, 1), (2, 1), (1, 3), (3, 2))
 
-    The domain maps the rows to ints mod its prime p (`residues`), then
-    forward elimination runs until the rank reaches `stop`.  The result
-    never exceeds the rank over the domain, and over F_p it is that rank.
-    Columns are dropped from the front as they are eliminated, so column 0
-    of every row is the current column."""
-    rows, p = system.domain.residues([system.row(i) for i in range(system.rows)])
-    rank = 0
-    for _ in range(system.cols):
-        if rank == stop:
+
+def _rank_mod_p(rows, q, stop: int) -> int:
+    """Rank mod the prime q of equal-length rows of ints in [0, q), counted
+    up to `stop`.
+
+    Each row is reduced by the pivot rows kept so far; a row left nonzero
+    is scaled to 1 at its first nonzero column and kept.  The rows come
+    from `ScalarDomain.residues`, a ring image, so a rank over F_q never
+    exceeds the rank of the rows they are images of."""
+    pivots = []  # (column, row with 1 there and 0 at every earlier pivot column)
+    for x in rows:
+        if len(pivots) == stop:
             break
-        k = next((k for k, x in enumerate(rows) if x[0]), None)
-        if k is None:
-            rows = [x[1:] for x in rows]
-            continue
-        y = rows.pop(k)
-        inv = pow(y[0], -1, p)
-        y = [v * inv % p for v in y[1:]]
-        rest = []
-        for x in rows:
-            f = x[0]
-            rest.append([(a - f * b) % p for a, b in zip(x[1:], y)] if f else x[1:])
-        rows = rest
-        rank += 1
-    return rank
+        for j, y in pivots:
+            f = x[j]
+            if f:
+                x = [(u - f * v) % q for u, v in zip(x, y)]
+        j = next((j for j, v in enumerate(x) if v), None)
+        if j is not None:
+            inv = pow(x[j], -1, q)
+            pivots.append((j, [v * inv % q for v in x]))
+    return len(pivots)
+
+
+def _matmul_mod(a, b, n, q):
+    """Product mod q of two n x n matrices of ints, flat and row-major."""
+    cols = [b[j::n] for j in range(n)]
+    return [sum(map(operator.mul, a[i * n:(i + 1) * n], col)) % q
+            for i in range(n) for col in cols]
+
+
+def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) -> bool:
+    """Whether the kernel of matrix_equation_basis's system is proved to be
+    its known part, of dimension n - stop.
+
+    Each given matrix m goes to F_q once, as one row of `domain.residues`,
+    which gives the image of D m for D the common denominator of m; D m
+    has the same solutions as m.  With m and m' the first and the last
+    commute matrix, H = m + lambda m' + mu m m' is taken for the first
+    (lambda, mu) in _CANDIDATES whose Krylov matrix [e1, H e1, ...,
+    H^(n-1) e1] has rank n mod q; if none has, the certificate declines,
+    as it does without commute matrices.  Writing c = sum x_k H^k, row k of
+    the system in x is vec(H^k m - m H^k) for each commute matrix, then
+    vec(l H^k) for each l in left_zero and vec(H^k r) for each r in
+    right_zero.  These n rows are the transpose of the n-column system, so
+    their rank mod q is its rank; the certificate fires when it reaches
+    `stop`."""
+    # Why a full rank is enough.  H is the image of an element of the
+    # algebra the commute matrices generate over the domain, so every
+    # solution c commutes with it.  A nonzero minor mod q lifts to a nonzero
+    # minor over Z[i] (over F_p it is one), because `residues` is a ring
+    # map, so the rank over the domain also reaches stop: the only x in the
+    # kernel are the known ones (x = e1 for span(e), none for {0}).  Then
+    # e, H, ..., H^(n-1) are linearly independent, since a dependency
+    # sum x_k H^k = 0 would be one more kernel vector.  So H is
+    # nonderogatory over the domain, and its commutant, which holds every
+    # solution, is span(e, H, ..., H^(n-1)) (Horn & Johnson, Matrix
+    # Analysis, 3.2.4).  Every solution is thus sum x_k H^k with x in the
+    # kernel, and lies in the known span.  The Krylov test only ends the
+    # search early, so that the first cyclic candidate is final; soundness
+    # does not rest on it.
+    if not commute_with:
+        return False
+    commute, q = domain.residues([m.entries for m in commute_with])
+    lefts = domain.residues([l.entries for l in left_zero])[0]
+    rights = domain.residues([r.entries for r in right_zero])[0]
+    first, last = commute[0], commute[-1]
+    product = _matmul_mod(first, last, n, q)
+    for lam, mu in _CANDIDATES:
+        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
+        krylov = [[1] + [0] * (n - 1)]
+        for _ in range(n - 1):
+            v = krylov[-1]
+            krylov.append([sum(map(operator.mul, h[i * n:(i + 1) * n], v)) % q
+                           for i in range(n)])
+        if _rank_mod_p(krylov, q, n) == n:
+            break
+    else:
+        return False
+    power = [int(i == j) for i in range(n) for j in range(n)]
+    rows = []
+    for _ in range(n):
+        row = []
+        for m in commute:
+            row += [(u - v) % q for u, v in zip(_matmul_mod(power, m, n, q),
+                                                _matmul_mod(m, power, n, q))]
+        for l in lefts:
+            row += _matmul_mod(l, power, n, q)
+        for r in rights:
+            row += _matmul_mod(power, r, n, q)
+        rows.append(row)
+        power = _matmul_mod(power, h, n, q)
+    return _rank_mod_p(rows, q, stop) == stop
 
 
 def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):
@@ -95,17 +168,18 @@ def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=(
     reproducible under a seed.
 
     The known kernel is span(e) when there are only commute blocks, and {0}
-    once a zero block is given.  A rank certificate runs first: if the
-    system's rank mod p reaches n*n minus the known dimension, the rank
-    over the domain is that too, the kernel is exactly the known span, and
-    the known basis is returned.  It is the basis nullspace_basis gives:
-    its one free column, n*n - 1, is the last diagonal entry of e.  Any
-    other rank mod p proves nothing, and the exact solve runs."""
-    system = _equation_system(n, domain, commute_with, left_zero, right_zero)
+    once a zero block is given.  A certificate with n unknowns runs first
+    (`_cyclic_certificate`): it writes c as a polynomial in one cyclic
+    element H of the algebra the commute matrices generate, and when the
+    rank mod a prime of the resulting system proves the kernel is no
+    larger than the known span, the known basis is returned.  It is the
+    basis nullspace_basis gives: its one free column, n*n - 1, is the last
+    diagonal entry of e.  A decline proves nothing, and the exact solve
+    runs, so it costs time, never a different basis."""
     known = [] if left_zero or right_zero else [Matrix.identity(n, domain)]
-    full = n * n - len(known)
-    if _rank_mod_p(system, full) == full:
+    if _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, n - len(known)):
         return known
+    system = _equation_system(n, domain, commute_with, left_zero, right_zero)
     basis = []
     for vec in nullspace_basis(system):
         entries = [vec.entries[j * n + i] for i in range(n) for j in range(n)]

@@ -1,19 +1,23 @@
-"""The rank certificate of matrix_equation_basis against the exact solve.
+"""The cyclic-element certificate of matrix_equation_basis against the
+exact solve.
 
-matrix_equation_basis first computes the rank of the weight system modulo
-one prime (`_rank_mod_p` on the domain's `residues`) and returns the known
-kernel (span(e) for the commutant, {0} for the four-way weight) when that
-rank proves the kernel is no larger.  Here every certified and every
-declined system is compared with the exact path, nullspace_basis on the
-same system, over Q(i), F_5 and F_7, on random b and on reducible b whose
+matrix_equation_basis first writes the weight c as a polynomial in one
+cyclic element H of the algebra the commute matrices generate
+(`_cyclic_certificate`), and returns the known kernel (span(e) for the
+commutant, {0} for the four-way weight) when the rank modulo one prime of
+that n-column system (`_rank_mod_p` on the domain's `residues`) proves the
+kernel is no larger.  Here every certified and every declined system is
+compared with the exact path, nullspace_basis on the Kronecker system,
+over Q(i), F_3, F_5 and F_7, on random b and on reducible b whose
 commutant is larger than the scalars, where the certificate must decline.
-A planted certificate that always fires must fail the comparison.
+A planted certificate that always fires must fail the comparison, and a
+property test holds every firing against the exact kernel.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rolcheck.peirce
@@ -22,18 +26,23 @@ from rolcheck import GAUSSIAN_RATIONAL, LawId, Matrix, prime_field
 from rolcheck.harness import InstanceSpec, gen_instance, random_matrix_of_rank
 from rolcheck.laws import LAWS
 from rolcheck.matrices import inverse, nullspace_basis, random_matrix, rank
-from rolcheck.peirce import _equation_system, matrix_equation_basis, sample_constrained
+from rolcheck.peirce import (
+    _cyclic_certificate,
+    _equation_system,
+    _rank_mod_p,
+    matrix_equation_basis,
+    sample_constrained,
+)
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.scalars._P
-DOMAINS = (G, prime_field(5), prime_field(7))
+DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7))
 
 
-def _commutant_basis_exact(b):
-    """Kernel of the commutant system by nullspace_basis, folded back as
+def _exact_basis(n, domain, commute_with, left_zero=(), right_zero=()):
+    """Kernel of the Kronecker system by nullspace_basis, folded back as
     matrix_equation_basis folds it (column stacking)."""
-    n, domain = b.rows, b.domain
-    system = _equation_system(n, domain, commute_with=(b, b.star()))
+    system = _equation_system(n, domain, commute_with, left_zero, right_zero)
     return [Matrix(n, n, domain, [v.entries[j * n + i] for i in range(n) for j in range(n)])
             for v in nullspace_basis(system)]
 
@@ -101,28 +110,29 @@ CASES = {domain: list(_cases(domain)) for domain in DOMAINS}
 
 def _run_cases(domain, certificate):
     """Each case's (name, expected, fired, basis, exact basis), with
-    `certificate` standing in for peirce._rank_mod_p; fired is None when
-    no certificate ran."""
+    `certificate` standing in for peirce._cyclic_certificate; fired is None
+    when no certificate ran."""
     fired = []
 
-    def spy(system, stop):
-        rank = certificate(system, stop)
-        fired.append(rank == stop)
-        return rank
+    def spy(*args):
+        ok = certificate(*args)
+        fired.append(ok)
+        return ok
 
     out = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rolcheck.peirce, "_rank_mod_p", spy)
+        patch.setattr(rolcheck.peirce, "_cyclic_certificate", spy)
         for name, b, expected in CASES[domain]:
             basis = matrix_equation_basis(b.rows, domain, commute_with=(b, b.star()))
             outcome = fired.pop() if fired else None
-            out.append((name, expected, outcome, basis, _commutant_basis_exact(b)))
+            exact = _exact_basis(b.rows, domain, (b, b.star()))
+            out.append((name, expected, outcome, basis, exact))
     return out
 
 
 def test_certified_and_declined_bases_equal_the_exact_path():
     for domain in DOMAINS:
-        results = _run_cases(domain, rolcheck.peirce._rank_mod_p)
+        results = _run_cases(domain, _cyclic_certificate)
         assert [name for name, _, _, basis, exact in results if basis != exact] == []
         certified = sum(fired is True for _, _, fired, _, _ in results)
         declined = sum(fired is False for _, _, fired, _, _ in results)
@@ -136,13 +146,15 @@ def test_certified_and_declined_bases_equal_the_exact_path():
 def test_entries_divisible_by_p_decline_and_still_give_e():
     b = Matrix.from_rows([[0, P], [0, 0]], G)
     system = _equation_system(2, G, commute_with=(b, b.star()))
-    assert rolcheck.peirce._rank_mod_p(system, 3) == 0
+    assert _rank_mod_p(*G.residues([system.row(i) for i in range(system.rows)]), 3) == 0
+    assert G.residues([b.entries, b.star().entries]) == ([[0] * 4] * 2, P)
+    assert not _cyclic_certificate(2, G, (b, b.star()), (), (), 1)
     assert matrix_equation_basis(2, G, commute_with=(b, b.star())) == [Matrix.identity(2, G)]
 
 
 def test_always_certify_mutant_fails_the_comparison():
     for domain in DOMAINS:
-        results = _run_cases(domain, lambda system, stop: stop)
+        results = _run_cases(domain, lambda *args: True)
         mismatched = [name for name, _, _, basis, exact in results if basis != exact]
         kinds = ("b=0", "self-adjoint", "rank-1 ", "diag(b1, b1)") + ("U diag",) * (domain == G)
         for kind in kinds:
@@ -162,21 +174,74 @@ def test_prime_and_square_root_of_minus_one():
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5),
        st.sampled_from((None, "matrix", "row 0")), st.integers(0, 2**32))
 def test_rank_mod_p_bounds_the_rank(domain, rows, cols, target, times_p, seed):
-    """_rank_mod_p(m, m.cols) is at most the rank over Q(i), and 0 when
-    every entry is a multiple of P; over F_p the residues are the element
-    values, so it is the rank."""
+    """_rank_mod_p of m's residues, counted up to m.cols, is at most the
+    rank over Q(i), and 0 when every entry is a multiple of P; over F_p the
+    residues are the element values, so it is the rank."""
     rng = random.Random(seed)
     m = random_matrix_of_rank(domain, rows, cols, min(target, rows, cols), rng)
     if domain == G and times_p:
         k = P * G.sample_coefficient(rng)
         m = Matrix(rows, cols, G, [v * k if times_p == "matrix" or i < cols else v
                                    for i, v in enumerate(m.entries)])
-    got = rolcheck.peirce._rank_mod_p(m, m.cols)
+    got = _rank_mod_p(*domain.residues([m.row(i) for i in range(rows)]), m.cols)
     if domain != G:
         assert got == rank(m)
     else:
         assert got <= rank(m)
         assert times_p != "matrix" or got == 0
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(("random",) * 2 + ("diag(b1, b1)", "U diag(b1, b1) U*")),
+       st.sampled_from((None, LawId.T38, LawId.T39)), st.integers(0, 2**32))
+def test_every_firing_matches_the_exact_kernel(domain, n, kind, law, seed):
+    """Whenever the certificate fires, nullspace_basis on the Kronecker
+    system gives the known basis: [e] for a commutant, [] once T38's or
+    T39's products of a random ab are zero blocks.  b is random of random
+    rank, or reducible, so that its commutant holds M_2 (x) e."""
+    assume(kind != "U diag(b1, b1) U*" or domain == G)
+    rng = random.Random(seed)
+    if kind == "random":
+        b = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+    else:
+        n = 2 * max(1, n // 2)
+        b = _block_diagonal(random_matrix(domain, n // 2, n // 2, rng))
+        if kind != "diag(b1, b1)":
+            u = _cayley_unitary(n, rng)
+            b = u @ b @ u.star()
+    left = right = ()
+    if law is not None:
+        a = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+        left, right = LAWS[law].weight_zero(a @ b)
+    known = [] if left or right else [Matrix.identity(n, domain)]
+    commute = (b, b.star())
+    if _cyclic_certificate(n, domain, commute, left, right, n - len(known)):
+        assert _exact_basis(n, domain, commute, left, right) == known
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+def test_no_cyclic_candidate_declines_and_gives_the_exact_basis(domain):
+    """For b of rank 1 at n >= 4, range(b) + range(b*) has dimension at most
+    2 <= n - 2, and every candidate H = b + lambda b* + mu b b* maps into it.
+    So H kills a space of dimension >= 2 and has no cyclic vector: each
+    Krylov rank falls short (stop = n), no system rank runs (stop = n - 1),
+    and the exact solve gives a basis larger than [e]."""
+    rng = random.Random(4)
+    for n in (4, 5):
+        b = random_matrix_of_rank(domain, n, n, 1, rng)
+        stops = []
+
+        def spy(rows, q, stop):
+            stops.append(stop)
+            return _rank_mod_p(rows, q, stop)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rolcheck.peirce, "_rank_mod_p", spy)
+            basis = matrix_equation_basis(n, domain, commute_with=(b, b.star()))
+        assert stops == [n] * len(rolcheck.peirce._CANDIDATES), (domain, n)
+        exact = _exact_basis(n, domain, (b, b.star()))
+        assert basis == exact and len(exact) > 1, (domain, n)
 
 
 # --- the four-way weight of T38 and T39 ---------------------------------------
@@ -186,19 +251,18 @@ def _four_way_outcomes(pairs):
     """For each (m, left_zero, right_zero, seed): whether the certificate
     fired, the weight, and the weight with the certificate switched off."""
     fired = []
-    real = rolcheck.peirce._rank_mod_p
 
-    def spy(system, stop):
-        rank = real(system, stop)
-        fired.append(rank == stop)
-        return rank
+    def spy(*args):
+        ok = _cyclic_certificate(*args)
+        fired.append(ok)
+        return ok
 
     out = []
     for m, left, right, seed in pairs:
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rolcheck.peirce, "_rank_mod_p", spy)
+            patch.setattr(rolcheck.peirce, "_cyclic_certificate", spy)
             c = sample_constrained(m, left, right, random.Random(seed))
-            patch.setattr(rolcheck.peirce, "_rank_mod_p", lambda system, stop: -1)
+            patch.setattr(rolcheck.peirce, "_cyclic_certificate", lambda *args: False)
             exact = sample_constrained(m, left, right, random.Random(seed))
         out.append((fired.pop() if fired else None, c, exact))
     return out
@@ -242,6 +306,6 @@ def test_t38_t39_instances_equal_the_exact_path(law):
     specs = [InstanceSpec(domain=domain, size=n, weight_mode="commutant", seed=seed)
              for domain in (G, prime_field(7)) for n in (2, 3, 4) for seed in range(6)]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rolcheck.peirce, "_rank_mod_p", lambda system, stop: -1)
+        patch.setattr(rolcheck.peirce, "_cyclic_certificate", lambda *args: False)
         exact = [gen_instance(spec, law) for spec in specs]
     assert [gen_instance(spec, law) for spec in specs] == exact
