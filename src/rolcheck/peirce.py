@@ -10,17 +10,18 @@ unknowns first writes the weight as a polynomial in one cyclic element of
 the algebra the commute matrices generate; its rank modulo one prime (in
 F_p, p itself) proves a generic kernel trivial (span(e), or {0} for the
 four-way weight), so the exact solve runs only when the kernel may be
-larger.
+larger.  Its ranks and products mod the prime run on F_p's own kernels,
+`scalars.row_reduce_mod` and `scalars.matmul_mod`.
 """
 
 from __future__ import annotations
 
-import operator
 import random
 
 from .errors import DimensionMismatch, EmptyK
 from .geninv import penrose_equations
 from .matrices import Matrix, nullspace_basis
+from .scalars import matmul_mod, row_reduce_mod
 
 
 def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
@@ -66,36 +67,6 @@ def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) ->
 _CANDIDATES = ((1, 1), (2, 1), (1, 3), (3, 2))
 
 
-def _rank_mod_p(rows, q, stop: int) -> int:
-    """Rank mod the prime q of equal-length rows of ints in [0, q), counted
-    up to `stop`.
-
-    Each row is reduced by the pivot rows kept so far; a row left nonzero
-    is scaled to 1 at its first nonzero column and kept.  The rows come
-    from `ScalarDomain.residues`, a ring image, so a rank over F_q never
-    exceeds the rank of the rows they are images of."""
-    pivots = []  # (column, row with 1 there and 0 at every earlier pivot column)
-    for x in rows:
-        if len(pivots) == stop:
-            break
-        for j, y in pivots:
-            f = x[j]
-            if f:
-                x = [(u - f * v) % q for u, v in zip(x, y)]
-        j = next((j for j, v in enumerate(x) if v), None)
-        if j is not None:
-            inv = pow(x[j], -1, q)
-            pivots.append((j, [v * inv % q for v in x]))
-    return len(pivots)
-
-
-def _matmul_mod(a, b, n, q):
-    """Product mod q of two n x n matrices of ints, flat and row-major."""
-    cols = [b[j::n] for j in range(n)]
-    return [sum(map(operator.mul, a[i * n:(i + 1) * n], col)) % q
-            for i in range(n) for col in cols]
-
-
 def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) -> bool:
     """Whether the kernel of matrix_equation_basis's system is proved to be
     its known part, of dimension n - stop.
@@ -111,7 +82,8 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     vec(l H^k) for each l in left_zero and vec(H^k r) for each r in
     right_zero.  These n rows are the transpose of the n-column system, so
     their rank mod q is its rank; the certificate fires when it reaches
-    `stop`."""
+    `stop`.  Each rank is the pivot count of `row_reduce_mod`, and each
+    product is `matmul_mod`, the kernels of F_p's row_reduce and matmul."""
     # Why a full rank is enough.  H is the image of an element of the
     # algebra the commute matrices generate over the domain, so every
     # solution c commutes with it.  A nonzero minor mod q lifts to a nonzero
@@ -132,15 +104,13 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     lefts = domain.residues([l.entries for l in left_zero])[0]
     rights = domain.residues([r.entries for r in right_zero])[0]
     first, last = commute[0], commute[-1]
-    product = _matmul_mod(first, last, n, q)
+    product = matmul_mod(first, last, n, n, n, q)
     for lam, mu in _CANDIDATES:
         h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
         krylov = [[1] + [0] * (n - 1)]
         for _ in range(n - 1):
-            v = krylov[-1]
-            krylov.append([sum(map(operator.mul, h[i * n:(i + 1) * n], v)) % q
-                           for i in range(n)])
-        if _rank_mod_p(krylov, q, n) == n:
+            krylov.append(matmul_mod(h, krylov[-1], n, n, 1, q))
+        if len(row_reduce_mod(krylov, q)[1]) == n:
             break
     else:
         return False
@@ -149,15 +119,15 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     for _ in range(n):
         row = []
         for m in commute:
-            row += [(u - v) % q for u, v in zip(_matmul_mod(power, m, n, q),
-                                                _matmul_mod(m, power, n, q))]
+            row += [(u - v) % q for u, v in zip(matmul_mod(power, m, n, n, n, q),
+                                                matmul_mod(m, power, n, n, n, q))]
         for l in lefts:
-            row += _matmul_mod(l, power, n, q)
+            row += matmul_mod(l, power, n, n, n, q)
         for r in rights:
-            row += _matmul_mod(power, r, n, q)
+            row += matmul_mod(power, r, n, n, n, q)
         rows.append(row)
-        power = _matmul_mod(power, h, n, q)
-    return _rank_mod_p(rows, q, stop) == stop
+        power = matmul_mod(power, h, n, n, n, q)
+    return len(row_reduce_mod(rows, q)[1]) == stop
 
 
 def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):

@@ -516,6 +516,43 @@ class GaussianRationalDomain(ScalarDomain):
         return hash(self.name)
 
 
+def row_reduce_mod(rows, p):
+    """Gauss-Jordan mod the prime p on equal-length rows of ints in [0, p),
+    with first-nonzero pivots and one modular inverse per pivot.  Returns
+    (reduced rows as lists, pivot columns as a tuple); the rows passed in
+    are not changed.  F_p's `row_reduce` and the weight certificate in
+    peirce both run on it."""
+    m = list(rows)
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(m)) if m[k][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        inv = pow(m[r][c], -1, p)
+        y = m[r] = [v * inv % p for v in m[r]]
+        for i, x in enumerate(m):
+            f = x[c]
+            if f and i != r:
+                m[i] = [(a - f * b) % p for a, b in zip(x, y)]
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return m, tuple(pivots)
+
+
+def matmul_mod(a, b, n, k, m, p):
+    """Row-major ints in [0, p) of the n x m product of the n x k and k x m
+    matrices of ints whose row-major entries are a and b: dot products of
+    plain ints, reduced mod p once per entry.  F_p's `matmul` and the
+    weight certificate in peirce both run on it."""
+    cols = [b[j::m] for j in range(m)]
+    return [sum(map(operator.mul, a[i * k : (i + 1) * k], col)) % p
+            for i in range(n) for col in cols]
+
+
 class PrimeFieldDomain(ScalarDomain):
     def __init__(self, p):
         _check_odd_prime(p)
@@ -564,39 +601,18 @@ class PrimeFieldDomain(ScalarDomain):
         return PrimeFieldElement(num, self.p) / PrimeFieldElement(den, self.p)
 
     def row_reduce(self, rows):
-        """Gauss-Jordan on plain ints mod p, one modular inverse per pivot;
-        elements are built only for the result, one per distinct value."""
+        """`row_reduce_mod` on the element values; elements are built only
+        for the result, one per distinct value."""
         p = self.p
-        m = [[z.value for z in row] for row in rows]
-        ncols = len(m[0]) if m else 0
-        pivots = []
-        for c in range(ncols):
-            r = len(pivots)
-            k = next((k for k in range(r, len(m)) if m[k][c]), None)
-            if k is None:
-                continue
-            m[r], m[k] = m[k], m[r]
-            inv = pow(m[r][c], -1, p)
-            y = m[r] = [v * inv % p for v in m[r]]
-            for i, x in enumerate(m):
-                f = x[c]
-                if f and i != r:
-                    m[i] = [(a - f * b) % p for a, b in zip(x, y)]
-            pivots.append(c)
-            if len(pivots) == len(m):
-                break
+        m, pivots = row_reduce_mod([[z.value for z in row] for row in rows], p)
         element = {v: PrimeFieldElement(v, p) for v in {v for row in m for v in row}}
-        return [[element[v] for v in row] for row in m], tuple(pivots)
+        return [[element[v] for v in row] for row in m], pivots
 
     def matmul(self, a, b, n, k, m):
-        """Dot products of plain ints, reduced mod p once per entry;
-        elements are built one per distinct value."""
+        """`matmul_mod` on the element values; elements are built one per
+        distinct value."""
         p = self.p
-        cols = [[z.value for z in b[j::m]] for j in range(m)]
-        values = []
-        for i in range(n):
-            row = [z.value for z in a[i * k : (i + 1) * k]]
-            values.extend(sum(map(operator.mul, row, col)) % p for col in cols)
+        values = matmul_mod([z.value for z in a], [z.value for z in b], n, k, m, p)
         element = {v: PrimeFieldElement(v, p) for v in set(values)}
         return [element[v] for v in values]
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rolcheck.scalars
 from rolcheck import (
     GAUSSIAN_RATIONAL,
     DimensionMismatch,
@@ -25,7 +26,7 @@ from rolcheck.matrices import random_matrix
 from matmul_reference import matmul as reference_matmul
 
 G = GAUSSIAN_RATIONAL
-DOMAINS = (G, prime_field(5), prime_field(7))
+DOMAINS = (G, prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
 
 
 def _scalars(domain):

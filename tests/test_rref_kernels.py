@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rolcheck.scalars
 from rolcheck import (
     GAUSSIAN_RATIONAL,
     GaussianRational,
@@ -21,7 +22,7 @@ from rolcheck.peirce import _equation_system
 from rref_reference import rref as reference_rref
 
 G = GAUSSIAN_RATIONAL
-DOMAINS = (G, prime_field(5), prime_field(7))
+DOMAINS = (G, prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
 
 
 def _scalars(domain):

@@ -5,8 +5,9 @@ matrix_equation_basis first writes the weight c as a polynomial in one
 cyclic element H of the algebra the commute matrices generate
 (`_cyclic_certificate`), and returns the known kernel (span(e) for the
 commutant, {0} for the four-way weight) when the rank modulo one prime of
-that n-column system (`_rank_mod_p` on the domain's `residues`) proves the
-kernel is no larger.  Here every certified and every declined system is
+that n-column system (the pivot count of `scalars.row_reduce_mod`, F_p's
+elimination kernel, on the domain's `residues`) proves the kernel is no
+larger.  Here every certified and every declined system is
 compared with the exact path, nullspace_basis on the Kronecker system,
 over Q(i), F_3, F_5 and F_7, on random b and on reducible b whose
 commutant is larger than the scalars, where the certificate must decline.
@@ -29,10 +30,10 @@ from rolcheck.matrices import inverse, nullspace_basis, random_matrix, rank
 from rolcheck.peirce import (
     _cyclic_certificate,
     _equation_system,
-    _rank_mod_p,
     matrix_equation_basis,
     sample_constrained,
 )
+from rolcheck.scalars import row_reduce_mod
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.scalars._P
@@ -146,7 +147,7 @@ def test_certified_and_declined_bases_equal_the_exact_path():
 def test_entries_divisible_by_p_decline_and_still_give_e():
     b = Matrix.from_rows([[0, P], [0, 0]], G)
     system = _equation_system(2, G, commute_with=(b, b.star()))
-    assert _rank_mod_p(*G.residues([system.row(i) for i in range(system.rows)]), 3) == 0
+    assert len(row_reduce_mod(*G.residues([system.row(i) for i in range(system.rows)]))[1]) == 0
     assert G.residues([b.entries, b.star().entries]) == ([[0] * 4] * 2, P)
     assert not _cyclic_certificate(2, G, (b, b.star()), (), (), 1)
     assert matrix_equation_basis(2, G, commute_with=(b, b.star())) == [Matrix.identity(2, G)]
@@ -174,16 +175,16 @@ def test_prime_and_square_root_of_minus_one():
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 5),
        st.sampled_from((None, "matrix", "row 0")), st.integers(0, 2**32))
 def test_rank_mod_p_bounds_the_rank(domain, rows, cols, target, times_p, seed):
-    """_rank_mod_p of m's residues, counted up to m.cols, is at most the
-    rank over Q(i), and 0 when every entry is a multiple of P; over F_p the
-    residues are the element values, so it is the rank."""
+    """The rank row_reduce_mod gives m's residues is at most the rank over
+    Q(i), and 0 when every entry is a multiple of P; over F_p the residues
+    are the element values, so it is the rank."""
     rng = random.Random(seed)
     m = random_matrix_of_rank(domain, rows, cols, min(target, rows, cols), rng)
     if domain == G and times_p:
         k = P * G.sample_coefficient(rng)
         m = Matrix(rows, cols, G, [v * k if times_p == "matrix" or i < cols else v
                                    for i, v in enumerate(m.entries)])
-    got = _rank_mod_p(*domain.residues([m.row(i) for i in range(rows)]), m.cols)
+    got = len(row_reduce_mod(*domain.residues([m.row(i) for i in range(rows)]))[1])
     if domain != G:
         assert got == rank(m)
     else:
@@ -224,22 +225,26 @@ def test_every_firing_matches_the_exact_kernel(domain, n, kind, law, seed):
 def test_no_cyclic_candidate_declines_and_gives_the_exact_basis(domain):
     """For b of rank 1 at n >= 4, range(b) + range(b*) has dimension at most
     2 <= n - 2, and every candidate H = b + lambda b* + mu b b* maps into it.
-    So H kills a space of dimension >= 2 and has no cyclic vector: each
-    Krylov rank falls short (stop = n), no system rank runs (stop = n - 1),
-    and the exact solve gives a basis larger than [e]."""
+    So H kills a space of dimension >= 2 and has no cyclic vector: the
+    certificate reduces one n x n Krylov matrix per candidate, each of rank
+    below n, reduces no system, and the exact solve gives a basis larger
+    than [e]."""
     rng = random.Random(4)
     for n in (4, 5):
         b = random_matrix_of_rank(domain, n, n, 1, rng)
-        stops = []
+        calls = []  # (rows, set of row lengths, rank) per call
 
-        def spy(rows, q, stop):
-            stops.append(stop)
-            return _rank_mod_p(rows, q, stop)
+        def spy(rows, q):
+            reduced, pivots = row_reduce_mod(rows, q)
+            calls.append((len(rows), {len(row) for row in rows}, len(pivots)))
+            return reduced, pivots
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(rolcheck.peirce, "_rank_mod_p", spy)
+            patch.setattr(rolcheck.peirce, "row_reduce_mod", spy)
             basis = matrix_equation_basis(n, domain, commute_with=(b, b.star()))
-        assert stops == [n] * len(rolcheck.peirce._CANDIDATES), (domain, n)
+        assert len(calls) == len(rolcheck.peirce._CANDIDATES), (domain, n)
+        assert all(size == n and lengths == {n} and got < n
+                   for size, lengths, got in calls), (domain, n, calls)
         exact = _exact_basis(n, domain, (b, b.star()))
         assert basis == exact and len(exact) > 1, (domain, n)
 
