@@ -27,7 +27,7 @@ from .laws import (
 )
 from .matrices import Matrix, matrix_to_json, random_matrix, rank
 from .peirce import sample_commutant, sample_constrained
-from .scalars import ScalarDomain
+from .scalars import ScalarDomain, row_reduce_mod
 
 MAX_SIZE = 8
 _SEED_STRIDE = 1_000_003
@@ -57,14 +57,20 @@ class InstanceSpec:
 
 
 def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
-    """Product of full-rank factors, resampled until the rank is exact."""
+    """Product of full-rank factors, resampled until the rank is exact.
+
+    u has target_rank columns, so rank(u v) is at most target_rank.  The
+    rank of its residues mod a prime (`ScalarDomain.residues`) is at most
+    its rank, so when the residue rank reaches target_rank, that is the
+    rank.  The exact rank runs only when the residue rank falls short."""
     if target_rank == 0:
         return Matrix.zeros(rows, cols, domain)
     for _ in range(1000):
         u = random_matrix(domain, rows, target_rank, rng)
         v = random_matrix(domain, target_rank, cols, rng)
         a = u @ v
-        if rank(a) == target_rank:
+        images, q = domain.residues([a.row(i) for i in range(rows)])
+        if len(row_reduce_mod(images, q)[1]) == target_rank or rank(a) == target_rank:
             return a
     raise InvalidSpec(f"cannot hit rank {target_rank} for {rows}x{cols} over {domain.name}")
 

@@ -7,15 +7,23 @@ Zero-dimension matrices (n x 0, 0 x m) are first class: they arise as
 the factors of a rank-0 matrix and their products are zero matrices of
 the appropriate shape.
 
+A matrix stores its domain's integer form (`scalars` module docstring),
+not scalar objects: over Q(i), the Gaussian-integer numerators of its
+entries over one denominator, over F_p, the entry values.  The form is
+unique, so `==` compares forms.  `entries` is a view built from the form,
+once, on first read; it holds the same canonical scalars the textbook
+loops give.  Every other operation runs on the form through the domain's
+form operations, and a result built that way skips the element checks
+the constructor makes on entries from outside.
+
 Ranks, factorizations, kernels and inverses all go through `rref`, which
 hands the elimination to the domain's exact kernel
-(`ScalarDomain.row_reduce`): fraction-free Gauss-Jordan on Gaussian
-integers for Q(i), Gauss-Jordan on ints mod p for F_p.  The RREF is
-unique, so the kernel choice never changes a result.  Products (`@`) go
-to the domain's `ScalarDomain.matmul` in the same way: integer dot
-products of rows and columns scaled to Gaussian integers for Q(i), plain
-int dot products reduced once per entry for F_p.  Both build scalars only
-for the result, in canonical form, so they equal the textbook loop.
+(`ScalarDomain.row_reduce`): fraction-free Gauss-Jordan on the numerators
+for Q(i), Gauss-Jordan on ints mod p for F_p.  The RREF is unique, so the
+kernel choice never changes a result.  Products (`@`) go to the domain's
+`ScalarDomain.matmul` in the same way: integer dot products of the
+numerators for Q(i), plain int dot products reduced once per entry for
+F_p.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, prime_field
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "domain", "entries")
+    __slots__ = ("rows", "cols", "domain", "form", "_entries")
 
     def __init__(self, rows, cols, domain, entries):
         entries = tuple(entries)
@@ -41,7 +49,26 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.domain = domain
-        self.entries = entries
+        self.form = domain.to_form(entries)
+        self._entries = entries
+
+    @classmethod
+    def _of(cls, rows, cols, domain, form):
+        """A matrix with the given form, which the domain's form operations
+        made; its entries are built when first read."""
+        m = cls.__new__(cls)
+        m.rows = rows
+        m.cols = cols
+        m.domain = domain
+        m.form = form
+        m._entries = None
+        return m
+
+    @property
+    def entries(self):
+        if self._entries is None:
+            self._entries = self.domain.form_entries(self.form)
+        return self._entries
 
     @classmethod
     def from_rows(cls, rows, domain):
@@ -62,8 +89,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, domain):
-        z, o = domain.zero(), domain.one()
-        return cls(n, n, domain, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls._of(n, n, domain, domain.identity_form(n))
 
     def __getitem__(self, key):
         i, j = key
@@ -78,67 +104,61 @@ class Matrix:
         if self.domain != other.domain:
             raise DomainMismatch(f"{self.domain.name} vs {other.domain.name}")
 
-    def __add__(self, other):
+    def _same_shape(self, other, op):
         if not isinstance(other, Matrix):
-            return NotImplemented
+            return False
         self._same_domain(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return Matrix(self.rows, self.cols, self.domain,
-                      [x + y for x, y in zip(self.entries, other.entries)])
+            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
+        return True
+
+    def __add__(self, other):
+        if not self._same_shape(other, "+"):
+            return NotImplemented
+        return Matrix._of(self.rows, self.cols, self.domain,
+                          self.domain.form_add(self.form, other.form))
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
+        if not self._same_shape(other, "-"):
             return NotImplemented
-        self._same_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{self.shape} - {other.shape}")
-        return Matrix(self.rows, self.cols, self.domain,
-                      [x - y for x, y in zip(self.entries, other.entries)])
+        domain = self.domain
+        return Matrix._of(self.rows, self.cols, domain,
+                          domain.form_add(self.form, domain.form_neg(other.form)))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, self.domain, [-x for x in self.entries])
+        return Matrix._of(self.rows, self.cols, self.domain, self.domain.form_neg(self.form))
 
     def __matmul__(self, other):
         """Matrix product by the domain's exact kernel, `ScalarDomain.matmul`:
-        integer dot products over Gaussian integers for Q(i), plain ints
-        reduced mod p for F_p."""
+        integer dot products of the numerators for Q(i), plain ints reduced
+        mod p for F_p."""
         if not isinstance(other, Matrix):
             return NotImplemented
         self._same_domain(other)
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.shape} @ {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
-        return Matrix(n, m, self.domain, self.domain.matmul(self.entries, other.entries, n, k, m))
+        return Matrix._of(n, m, self.domain, self.domain.matmul(self.form, other.form, n, k, m))
 
     def scale(self, coeff):
-        coeff = self.domain.coerce(coeff)
-        return Matrix(self.rows, self.cols, self.domain, [coeff * x for x in self.entries])
+        domain = self.domain
+        return Matrix._of(self.rows, self.cols, domain,
+                          domain.form_scale(self.form, domain.coerce(coeff)))
 
     def star(self):
         """Conjugate transpose: the ring involution, star(A*B) = star(B)*star(A)."""
-        return Matrix(self.cols, self.rows, self.domain,
-                      [self.entries[i * self.cols + j].conj()
-                       for j in range(self.cols) for i in range(self.rows)])
+        return Matrix._of(self.cols, self.rows, self.domain,
+                          self.domain.form_star(self.form, self.rows, self.cols))
 
     def is_zero(self):
-        return all(x.is_zero() for x in self.entries)
+        return self.domain.form_is_zero(self.form)
 
     def is_hermitian(self):
-        if self.rows != self.cols:
-            return False
-        for i in range(self.rows):
-            for j in range(i, self.cols):
-                if self.entries[i * self.cols + j] != self.entries[j * self.cols + i].conj():
-                    return False
-        return True
+        return (self.rows == self.cols
+                and self.domain.form_star(self.form, self.rows, self.cols) == self.form)
 
     def is_identity(self):
-        if self.rows != self.cols:
-            return False
-        o, z = self.domain.one(), self.domain.zero()
-        return all(self.entries[i * self.cols + j] == (o if i == j else z)
-                   for i in range(self.rows) for j in range(self.cols))
+        return self.rows == self.cols and self.form == self.domain.identity_form(self.rows)
 
     @property
     def shape(self):
@@ -150,7 +170,7 @@ class Matrix:
         return (self.domain == other.domain
                 and self.rows == other.rows
                 and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.form == other.form)
 
     def __str__(self):
         fmt = self.domain.format_scalar
@@ -159,6 +179,13 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.domain.name}: {self})"
+
+
+def _select(matrices, rows, cols, index) -> Matrix:
+    """The rows x cols matrix of the entries at `index` of the matrices'
+    entries laid end to end."""
+    domain = matrices[0].domain
+    return Matrix._of(rows, cols, domain, domain.form_select([m.form for m in matrices], index))
 
 
 def rref(a: Matrix):
@@ -170,8 +197,8 @@ def rref(a: Matrix):
     F_p.  The RREF is unique and the pivot scan is fixed, so the result
     is the one any exact Gauss-Jordan gives.
     """
-    reduced, pivots = a.domain.row_reduce([a.row(i) for i in range(a.rows)])
-    return Matrix(a.rows, a.cols, a.domain, [v for row in reduced for v in row]), pivots
+    form, pivots = a.domain.row_reduce(a.form, a.rows, a.cols)
+    return Matrix._of(a.rows, a.cols, a.domain, form), pivots
 
 
 def rank(a: Matrix) -> int:
@@ -192,10 +219,8 @@ def rank_factorization(a: Matrix) -> RankFactorization:
     f = columns of a at the pivot positions.  rank 0 yields empty factors."""
     reduced, pivots = rref(a)
     k = len(pivots)
-    f_entries = [a.entries[i * a.cols + c] for i in range(a.rows) for c in pivots]
-    g_entries = [reduced.entries[r * a.cols + j] for r in range(k) for j in range(a.cols)]
-    f = Matrix(a.rows, k, a.domain, f_entries)
-    g = Matrix(k, a.cols, a.domain, g_entries)
+    f = _select((a,), a.rows, k, [i * a.cols + c for i in range(a.rows) for c in pivots])
+    g = _select((reduced,), k, a.cols, range(k * a.cols))
     return RankFactorization(f, g, k)
 
 
@@ -223,19 +248,14 @@ def inverse(a: Matrix) -> Matrix:
     if a.rows != a.cols:
         raise DimensionMismatch(f"inverse of non-square {a.shape}")
     n = a.rows
-    ident = Matrix.identity(n, a.domain)
-    aug_entries = []
-    for i in range(n):
-        aug_entries.extend(a.row(i))
-        aug_entries.extend(ident.row(i))
-    aug = Matrix(n, 2 * n, a.domain, aug_entries)
+    # Row i of [a | e] is row i of a, then row i of e, whose entries follow a's.
+    aug = _select((a, Matrix.identity(n, a.domain)), n, 2 * n,
+                  [t for i in range(n) for t in (*range(i * n, (i + 1) * n),
+                                                 *range((n + i) * n, (n + i + 1) * n))])
     reduced, pivots = rref(aug)
     if pivots != tuple(range(n)):
         raise Singular(f"matrix of rank {len([p for p in pivots if p < n])} < {n}")
-    out = []
-    for i in range(n):
-        out.extend(reduced.entries[i * 2 * n + n : (i + 1) * 2 * n])
-    return Matrix(n, n, a.domain, out)
+    return _select((reduced,), n, n, [i * 2 * n + n + j for i in range(n) for j in range(n)])
 
 
 def random_matrix(domain: ScalarDomain, rows, cols, rng) -> Matrix:

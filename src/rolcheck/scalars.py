@@ -8,6 +8,17 @@ instances are safe to share between threads.
 Mixing values from different domains is a hard error, never a coercion;
 plain Python ints (and Fractions, for Gaussian rationals) embed into a
 domain and are accepted for convenience.
+
+Each domain also has an integer form for a whole matrix, which
+`matrices.Matrix` stores in place of its scalars, and the operations on
+it that matrix arithmetic runs on.  Over Q(i) the form is (re, im, d):
+the real and imaginary numerators of every entry, row-major, over one
+common denominator d, with d > 0 and gcd(d, all numerators) = 1.  That
+condition makes d the lcm of the entries' own denominators, so the form
+is unique and equal matrices have equal forms.  Putting a form right
+costs one gcd over the whole matrix, not one per entry.  Over F_p the form is
+the entry values, ints in [0, p).  Scalars are built from a form only
+when an entry is read.
 """
 
 from __future__ import annotations
@@ -20,8 +31,10 @@ from functools import lru_cache
 
 from .errors import DivisionByZero, DomainMismatch
 
-_FRACTION_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-_INT_RE = re.compile(r"[+-]?\d+\Z")
+# [0-9], not \d: \d also matches the digits of other scripts, which int()
+# and Fraction() accept.
+_FRACTION_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
+_INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 # Q(i) residues live in F_P.  Since P = 1 (mod 4), -1 has a square root _I
 # mod P, and re + im i -> re + _I im is a ring map from Z[i] onto F_P.
@@ -293,7 +306,15 @@ class ScalarDomain:
 
     The law checker reads two facts in place of tests of the type:
     whether every matrix over the domain has a Moore-Penrose inverse, and
-    a basis of the domain over the scalars its involution fixes."""
+    a basis of the domain over the scalars its involution fixes.
+
+    Matrices hold the domain's form (module docstring) and compute on it
+    with the form operations: to_form(entries) and form_entries(form),
+    which converts back to canonical elements, identity_form(n),
+    form_add(x, y), form_neg(x), form_scale(x, coeff) by an element,
+    form_star(x, rows, cols), the conjugate transpose, form_select(forms,
+    index), the entries at `index` of the forms laid end to end,
+    form_is_zero(x), row_reduce and matmul."""
 
     name = "abstract"
     mp_always_exists = False
@@ -329,19 +350,19 @@ class ScalarDomain:
         """Random combination coefficient: numerator in [-5, 5], denominator in {1, 2, 3}."""
         raise NotImplementedError
 
-    def row_reduce(self, rows):
-        """Reduced row echelon form of equal-length rows of elements.
+    def row_reduce(self, x, rows, cols):
+        """Reduced row echelon form of the rows x cols matrix x.
 
         Pivots are chosen first-nonzero, scanning columns left to right and
-        rows top to bottom.  Returns (reduced rows as lists, pivot columns
-        as a tuple).  The RREF of a matrix is unique, so every exact kernel
-        returns the same rows."""
+        rows top to bottom.  Returns (form, pivot columns as a tuple).  The
+        RREF of a matrix is unique, so every exact kernel returns the same
+        form."""
         raise NotImplementedError
 
-    def matmul(self, a, b, n, k, m):
-        """Entries of the n x m product of the n x k and k x m matrices whose
-        row-major entries are a and b.  Each is the exact sum of products,
-        so every kernel returns the entries the textbook loop gives."""
+    def matmul(self, x, y, n, k, m):
+        """The n x m product of the n x k matrix x and the k x m matrix y.
+        Each entry is the exact sum of products, so every kernel returns
+        the form of the entries the textbook loop gives."""
         raise NotImplementedError
 
     def residues(self, rows):
@@ -421,85 +442,120 @@ class GaussianRationalDomain(ScalarDomain):
     def sample_coefficient(self, rng):
         return GaussianRational(_sample_fraction(rng))
 
-    def row_reduce(self, rows):
+    def to_form(self, entries):
+        return _canonical(*_gaussian_integers(entries))
+
+    def form_entries(self, form):
+        re, im, d = form
+        raw = GaussianRational._raw
+        return tuple(raw(a, b, d) for a, b in zip(re, im))
+
+    def identity_form(self, n):
+        return _identity(n), (0,) * (n * n), 1
+
+    def form_add(self, x, y):
+        xr, xi, xd = x
+        yr, yi, yd = y
+        d = math.lcm(xd, yd)
+        sx, sy = d // xd, d // yd
+        return _canonical([a * sx + b * sy for a, b in zip(xr, yr)],
+                          [a * sx + b * sy for a, b in zip(xi, yi)], d)
+
+    def form_neg(self, x):
+        re, im, d = x
+        return tuple(-a for a in re), tuple(-b for b in im), d
+
+    def form_scale(self, x, coeff):
+        re, im, d = x
+        cr, ci = coeff.re_num, coeff.im_num
+        return _canonical([a * cr - b * ci for a, b in zip(re, im)],
+                          [a * ci + b * cr for a, b in zip(re, im)], d * coeff.den)
+
+    def form_star(self, x, rows, cols):
+        re, im, d = x
+        return _transpose(re, rows, cols), tuple(-b for b in _transpose(im, rows, cols)), d
+
+    def form_select(self, forms, index):
+        d = math.lcm(*(f[2] for f in forms))
+        re, im = [], []
+        for xr, xi, xd in forms:
+            s = d // xd
+            re += [a * s for a in xr]
+            im += [b * s for b in xi]
+        return _canonical([re[t] for t in index], [im[t] for t in index], d)
+
+    def form_is_zero(self, x):
+        return not any(x[0]) and not any(x[1])
+
+    def row_reduce(self, x, rows, cols):
         """Fraction-free Gauss-Jordan over the Gaussian integers (Bareiss).
 
-        Each row is scaled to Gaussian integers.  For a new pivot q in row r,
+        It runs on the numerators: the common denominator scales every row
+        alike, which leaves the RREF as it is.  For a new pivot q in row r,
         with previous pivot p (1 at the start), every other row x becomes
         (q x - f y) / p, where y is row r and f is x's entry in the pivot
-        column.  Every entry then stays a minor of the scaled input, so the
+        column.  Every entry then stays a minor of the numerators, so the
         division is exact and the numbers stay as small as those minors
         (Bareiss, Math. Comp. 1968).  The update must reach every row but r,
-        also rows with f = 0, or later divisions are no longer exact.  Last,
-        each pivot row is divided by its pivot."""
-        re_rows, im_rows = [], []
-        for row in rows:
-            re_row, im_row, _ = _gaussian_integers(row)
-            re_rows.append(re_row)
-            im_rows.append(im_row)
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
+        also rows with f = 0, or later divisions are no longer exact.  It
+        turns each earlier pivot p into q p / p = q, so at the end every
+        pivot equals the last one, and the RREF is the rows over it."""
+        re, im, _ = x
+        re_rows = [list(re[i * cols : (i + 1) * cols]) for i in range(rows)]
+        im_rows = [list(im[i * cols : (i + 1) * cols]) for i in range(rows)]
         pivots = []
         pr, pi, norm = 1, 0, 1  # previous pivot and its norm
-        for c in range(ncols):
+        for c in range(cols):
             r = len(pivots)
-            k = next((k for k in range(r, nrows) if re_rows[k][c] or im_rows[k][c]), None)
+            k = next((k for k in range(r, rows) if re_rows[k][c] or im_rows[k][c]), None)
             if k is None:
                 continue
             re_rows[r], re_rows[k] = re_rows[k], re_rows[r]
             im_rows[r], im_rows[k] = im_rows[k], im_rows[r]
             yr, yi = re_rows[r], im_rows[r]
             qr, qi = yr[c], yi[c]
-            for i in range(nrows):
+            for i in range(rows):
                 if i == r:
                     continue
                 xr, xi = re_rows[i], im_rows[i]
                 fr, fi = xr[c], xi[c]
                 start = pivots[i] if i < r else c
-                for j in range(start, ncols):
+                for j in range(start, cols):
                     ar = qr * xr[j] - qi * xi[j] - fr * yr[j] + fi * yi[j]
                     ai = qr * xi[j] + qi * xr[j] - fr * yi[j] - fi * yr[j]
                     xr[j] = (ar * pr + ai * pi) // norm
                     xi[j] = (ai * pr - ar * pi) // norm
             pivots.append(c)
             pr, pi, norm = qr, qi, qr * qr + qi * qi
-            if len(pivots) == nrows:
+            if len(pivots) == rows:
                 break
-        raw = GaussianRational._raw
-        zero = raw(0, 0, 1)
-        out = []
-        for t, (xr, xi) in enumerate(zip(re_rows, im_rows)):
-            if t >= len(pivots):
-                out.append([zero] * ncols)
-                continue
-            dr, di = xr[pivots[t]], xi[pivots[t]]
-            dn = dr * dr + di * di
-            out.append([raw(a * dr + b * di, b * dr - a * di, dn) if a or b else zero
-                        for a, b in zip(xr, xi)])
-        return out, tuple(pivots)
+        # Rows below the rank are zero.  Dividing by the last pivot p is
+        # multiplying by conj(p) over the denominator |p|^2.
+        out_re, out_im = [], []
+        for xr, xi in zip(re_rows, im_rows):
+            out_re += [a * pr + b * pi for a, b in zip(xr, xi)]
+            out_im += [b * pr - a * pi for a, b in zip(xr, xi)]
+        return _canonical(out_re, out_im, norm), tuple(pivots)
 
-    def matmul(self, a, b, n, k, m):
-        """Dot products of Gaussian integers.
-
-        Each row of a and each column of b is scaled to Gaussian integers by
-        the lcm of its denominators.  Entry (i, j) accumulates the integer
-        real and imaginary parts over the nonzero entries of row i, and one
-        `GaussianRational._raw` over the product of the two denominators
-        puts it in canonical form."""
-        raw = GaussianRational._raw
-        cols = [_gaussian_integers(b[j::m]) for j in range(m)]
-        out = []
+    def matmul(self, x, y, n, k, m):
+        """Dot products of the numerators, over the product of the two
+        denominators.  With s = re + im, the imaginary part of each entry is
+        (sum of s s') - (sum of re re') - (sum of im im'), so an entry takes
+        three integer dot products, not four."""
+        xr, xi, xd = x
+        yr, yi, yd = y
+        mul, add = operator.mul, operator.add
+        cols = [(yr[j::m], yi[j::m], list(map(add, yr[j::m], yi[j::m]))) for j in range(m)]
+        re, im = [], []
         for i in range(n):
-            xr, xi, x_den = _gaussian_integers(a[i * k : (i + 1) * k])
-            nonzero = [(t, xr[t], xi[t]) for t in range(k) if xr[t] or xi[t]]
-            for yr, yi, y_den in cols:
-                re = im = 0
-                for t, ar, ai in nonzero:
-                    br, bi = yr[t], yi[t]
-                    re += ar * br - ai * bi
-                    im += ar * bi + ai * br
-                out.append(raw(re, im, x_den * y_den))
-        return out
+            ar, ai = xr[i * k : (i + 1) * k], xi[i * k : (i + 1) * k]
+            asum = list(map(add, ar, ai))
+            for br, bi, bsum in cols:
+                rr = sum(map(mul, ar, br))
+                ii = sum(map(mul, ai, bi))
+                re.append(rr - ii)
+                im.append(sum(map(mul, asum, bsum)) - rr - ii)
+        return _canonical(re, im, xd * yd)
 
     def residues(self, rows):
         """Rows scaled to Gaussian integers, then re + im i -> re + _I im."""
@@ -600,21 +656,46 @@ class PrimeFieldDomain(ScalarDomain):
         den = rng.choice([d for d in (1, 2, 3) if d % self.p != 0])
         return PrimeFieldElement(num, self.p) / PrimeFieldElement(den, self.p)
 
-    def row_reduce(self, rows):
-        """`row_reduce_mod` on the element values; elements are built only
-        for the result, one per distinct value."""
-        p = self.p
-        m, pivots = row_reduce_mod([[z.value for z in row] for row in rows], p)
-        element = {v: PrimeFieldElement(v, p) for v in {v for row in m for v in row}}
-        return [[element[v] for v in row] for row in m], pivots
+    def to_form(self, entries):
+        return tuple(z.value for z in entries)
 
-    def matmul(self, a, b, n, k, m):
-        """`matmul_mod` on the element values; elements are built one per
-        distinct value."""
+    def form_entries(self, form):
         p = self.p
-        values = matmul_mod([z.value for z in a], [z.value for z in b], n, k, m, p)
-        element = {v: PrimeFieldElement(v, p) for v in set(values)}
-        return [element[v] for v in values]
+        return tuple(PrimeFieldElement(v, p) for v in form)
+
+    def identity_form(self, n):
+        return _identity(n)
+
+    def form_add(self, x, y):
+        p = self.p
+        return tuple((a + b) % p for a, b in zip(x, y))
+
+    def form_neg(self, x):
+        p = self.p
+        return tuple(-a % p for a in x)
+
+    def form_scale(self, x, coeff):
+        p, c = self.p, coeff.value
+        return tuple(c * a % p for a in x)
+
+    def form_star(self, x, rows, cols):
+        return _transpose(x, rows, cols)
+
+    def form_select(self, forms, index):
+        values = [v for f in forms for v in f]
+        return tuple(values[t] for t in index)
+
+    def form_is_zero(self, x):
+        return not any(x)
+
+    def row_reduce(self, x, rows, cols):
+        """`row_reduce_mod` on the values."""
+        m, pivots = row_reduce_mod([x[i * cols : (i + 1) * cols] for i in range(rows)], self.p)
+        return tuple(v for row in m for v in row), pivots
+
+    def matmul(self, x, y, n, k, m):
+        """`matmul_mod` on the values."""
+        return tuple(matmul_mod(x, y, n, k, m, self.p))
 
     def residues(self, rows):
         """The element values: the map is the identity."""
@@ -633,6 +714,26 @@ def _gaussian_integers(values):
     den = math.lcm(*(z.den for z in values))
     return ([z.re_num * (den // z.den) for z in values],
             [z.im_num * (den // z.den) for z in values], den)
+
+
+def _identity(n):
+    """The row-major ints of the n x n identity."""
+    values = [0] * (n * n)
+    values[:: n + 1] = [1] * n
+    return tuple(values)
+
+
+def _transpose(values, rows, cols):
+    return tuple(values[i * cols + j] for j in range(cols) for i in range(rows))
+
+
+def _canonical(re, im, d):
+    """The Q(i) form of the entries (re + im i) / d, for d > 0: one gcd,
+    which stops early once it reaches 1, divides out every common factor."""
+    g = math.gcd(d, *re, *im)
+    if g == 1:
+        return tuple(re), tuple(im), d
+    return tuple(a // g for a in re), tuple(b // g for b in im), d // g
 
 
 def _format_fraction(f: Fraction) -> str:

@@ -205,10 +205,12 @@ def _one_by_one(**fields):
     _one_by_one(domain={"prime_field": "5"}),
     _one_by_one(entries=[["1/0"]]),
     _one_by_one(entries=[["1/0i"]]),
+    _one_by_one(entries=[["\u0661"]]),
+    _one_by_one(domain={"prime_field": 5}, entries=[["\u0661"]]),
     "[" * 100_000,
 ], ids=["int-entry", "null-entry", "string-entries", "string-row", "bool-rows",
         "bool-cols", "float-rows", "bool-prime", "string-prime", "zero-den",
-        "zero-den-imag", "deep-nesting"])
+        "zero-den-imag", "arabic-indic-digit", "arabic-indic-digit-prime", "deep-nesting"])
 def test_malformed_matrix_file_exits_3(tmp_path, obj):
     """obj is the matrix JSON, or the text of the file when a string."""
     f = tmp_path / "bad.json"

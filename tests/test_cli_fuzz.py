@@ -24,10 +24,14 @@ GOOD_LITERALS = {
     "gaussian_rational": ("0", "1", "-2/3", "1/2-1i", "i"),
     "prime_field": ("0", "1", "4", "-3"),
 }
+# Digits of other scripts, which int() and Fraction() accept: Arabic-Indic
+# one, Devanagari three and fullwidth two.
+OTHER_DIGITS = ("\u0661", "1/\u0969", "\u0969i", "1+\uff12i", "\uff12")
 BAD_LITERALS = {
     "gaussian_rational": ("1/0", "1/0i", "2-1/0i", "1.5", "1e3", "ii", "1//2", "+-1",
-                          "1/-2", "0x10", "1/2/3", "nan", "1 2", "3+i+i", "j"),
-    "prime_field": ("1/2", "1/0", "i", "2i", "1.0", "0x10", "--1", "nan", "1 2"),
+                          "1/-2", "0x10", "1/2/3", "nan", "1 2", "3+i+i", "j") + OTHER_DIGITS,
+    "prime_field": ("1/2", "1/0", "i", "2i", "1.0", "0x10", "--1", "nan", "1 2",
+                    "\u0661", "-\u0969", "\uff12"),
 }
 BAD_DOMAINS = ("qi", "gaussian", 5, None, [], {}, {"prime_field": 4}, {"prime_field": 2},
                {"prime_field": -5}, {"prime_field": 2**40}, {"prime_field": 5.0},

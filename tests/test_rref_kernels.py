@@ -22,7 +22,7 @@ from rolcheck.peirce import _equation_system
 from rref_reference import rref as reference_rref
 
 G = GAUSSIAN_RATIONAL
-DOMAINS = (G, prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
+DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
 
 
 def _scalars(domain):
