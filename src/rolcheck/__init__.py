@@ -42,6 +42,7 @@ from .matrices import (
 from .geninv import (
     commutes_with_pair,
     group_inverse,
+    is_mp_inverse,
     mp_exists,
     mp_inverse,
     penrose_equations,

@@ -5,6 +5,13 @@ Penrose equations
 
     (1) a = aba    (2) b = bab    (3) (ab)* = ab    (4) (ba)* = ba.
 
+That uniqueness holds in any ring with involution, so b = a+ is decided
+by testing the four equations on b (`is_mp_inverse`), without forming
+a+.  `penrose_holds` tests the equations K names, one product at a
+time, and stops at the first that fails; `peirce.is_k_inverse` runs on
+it too.  `penrose_equations` evaluates each requested equation, for a
+report that shows all of them.
+
 Existence and construction share one object.  For a full-rank
 factorization a = f g of rank r, MacDuffee's formula
 
@@ -23,14 +30,20 @@ from .errors import DimensionMismatch, NoMPInverse, NotGroupInvertible, Singular
 from .matrices import Matrix, inverse, rank, rank_factorization
 
 
-def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
-    """Exact truth of Penrose equation (j) for each j in ks, in order.
-
-    Forms only the products the requested equations use: a b for (1)
-    and (3), b a for (2) and (4)."""
+def _check_candidate(a: Matrix, b: Matrix) -> None:
     if b.rows != a.cols or b.cols != a.rows:
         raise DimensionMismatch(f"candidate {b.shape} does not fit {a.shape}")
     a._same_domain(b)
+
+
+def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
+    """Exact truth of Penrose equation (j) for each j in ks, in order.
+
+    Every requested equation is evaluated, for a report that shows each
+    one (`rolcheck kcheck`); `penrose_holds` decides their conjunction
+    and stops at the first that fails.  Forms only the products the
+    requested equations use: a b for (1) and (3), b a for (2) and (4)."""
+    _check_candidate(a, b)
     ab = a @ b if 1 in ks or 3 in ks else None
     ba = b @ a if 2 in ks or 4 in ks else None
     equations = {
@@ -40,6 +53,45 @@ def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
         4: lambda: ba.is_hermitian(),
     }
     return {k: equations[k]() for k in sorted(ks)}
+
+
+def penrose_holds(a: Matrix, b: Matrix, ks) -> bool:
+    """Whether Penrose equation (j) holds for every j in ks.
+
+    The equations are tried in the order (3), (4), (1), (2), and the first
+    that fails ends the test.  Each product is formed when an equation
+    first needs it: a b for (3), b a for (4), and (1) and (2) reuse them,
+    so a false membership forms only the products up to its first
+    failing equation."""
+    _check_candidate(a, b)
+    ab = ba = None
+    if 3 in ks:
+        ab = a @ b
+        if not ab.is_hermitian():
+            return False
+    if 4 in ks:
+        ba = b @ a
+        if not ba.is_hermitian():
+            return False
+    if 1 in ks:
+        ab = a @ b if ab is None else ab
+        if not ab @ a == a:
+            return False
+    if 2 in ks:
+        ba = b @ a if ba is None else ba
+        return ba @ b == b
+    return True
+
+
+def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
+    """Whether b = a+, decided by the four Penrose equations.
+
+    a+ is the unique solution of all four in any ring with involution
+    (Penrose, Proc. Cambridge Philos. Soc. 1955), so b satisfies them
+    exactly when a+ exists and equals b; a+ itself is never formed.
+    Where a has no Moore-Penrose inverse (over a prime field), no b
+    satisfies them, and the answer is False."""
+    return penrose_holds(a, b, (1, 2, 3, 4))
 
 
 def _macduffee(a: Matrix):

@@ -69,7 +69,8 @@ def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
         u = random_matrix(domain, rows, target_rank, rng)
         v = random_matrix(domain, target_rank, cols, rng)
         a = u @ v
-        images, q = domain.residues([a.row(i) for i in range(rows)])
+        (image,), q = domain.residues([a.form])
+        images = [image[i * cols : (i + 1) * cols] for i in range(rows)]
         if len(row_reduce_mod(images, q)[1]) == target_rank or rank(a) == target_rank:
             return a
     raise InvalidSpec(f"cannot hit rank {target_rank} for {rows}x{cols} over {domain.name}")

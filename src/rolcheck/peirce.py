@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from .errors import DimensionMismatch, EmptyK
-from .geninv import penrose_equations
+from .geninv import penrose_holds
 from .matrices import Matrix, nullspace_basis
 from .scalars import matmul_mod, row_reduce_mod
 
@@ -27,14 +27,17 @@ from .scalars import matmul_mod, row_reduce_mod
 def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
     """Membership of x in aK: x satisfies Penrose equation (j) for each j in K.
 
-    K = {} is rejected; a vacuous membership test silently passing
-    everything is a bug magnet for the set-inclusion laws."""
+    The equations run through `geninv.penrose_holds`, which forms one
+    product at a time and stops at the first equation that fails, so a
+    false membership forms only the products up to it.  K = {} is
+    rejected; a vacuous membership test silently passing everything is a
+    bug magnet for the set-inclusion laws."""
     ks = frozenset(k)
     if not ks:
         raise EmptyK("K must name at least one Penrose equation")
     if not ks <= {1, 2, 3, 4}:
         raise ValueError(f"K must be a subset of {{1, 2, 3, 4}}, got {sorted(ks)}")
-    return all(penrose_equations(a, x, ks).values())
+    return penrose_holds(a, x, ks)
 
 
 def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) -> Matrix:
@@ -71,13 +74,13 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     """Whether the kernel of matrix_equation_basis's system is proved to be
     its known part, of dimension n - stop.
 
-    Each given matrix m goes to F_q once, as one row of `domain.residues`,
-    which gives the image of D m for D the common denominator of m; D m
-    has the same solutions as m.  With m and m' the first and the last
-    commute matrix, H = m + lambda m' + mu m m' is taken for the first
-    (lambda, mu) in _CANDIDATES whose Krylov matrix [e1, H e1, ...,
-    H^(n-1) e1] has rank n mod q; if none has, the certificate declines,
-    as it does without commute matrices.  Writing c = sum x_k H^k, row k of
+    Each given matrix m goes to F_q once, from its form, through
+    `domain.residues`, which gives the image of D m for D the common
+    denominator of m; D m has the same solutions as m.  With m and m' the
+    first and the last commute matrix, H = m + lambda m' + mu m m' is
+    taken for the first (lambda, mu) in _CANDIDATES whose Krylov matrix
+    [e1, H e1, ..., H^(n-1) e1] has rank n mod q; if none has, the
+    certificate declines, as it does without commute matrices.  Writing c = sum x_k H^k, row k of
     the system in x is vec(H^k m - m H^k) for each commute matrix, then
     vec(l H^k) for each l in left_zero and vec(H^k r) for each r in
     right_zero.  These n rows are the transpose of the n-column system, so
@@ -100,9 +103,9 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     # does not rest on it.
     if not commute_with:
         return False
-    commute, q = domain.residues([m.entries for m in commute_with])
-    lefts = domain.residues([l.entries for l in left_zero])[0]
-    rights = domain.residues([r.entries for r in right_zero])[0]
+    commute, q = domain.residues([m.form for m in commute_with])
+    lefts = domain.residues([l.form for l in left_zero])[0]
+    rights = domain.residues([r.form for r in right_zero])[0]
     first, last = commute[0], commute[-1]
     product = matmul_mod(first, last, n, n, n, q)
     for lam, mu in _CANDIDATES:

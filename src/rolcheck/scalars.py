@@ -365,10 +365,10 @@ class ScalarDomain:
         the form of the entries the textbook loop gives."""
         raise NotImplementedError
 
-    def residues(self, rows):
-        """(images, q): each row as ints mod the prime q.  A row is scaled by
-        a nonzero element, then sent through a ring map to F_q, so the rank
-        of the images never exceeds the rank of the rows."""
+    def residues(self, forms):
+        """(images, q): each matrix form as its row-major ints mod the prime
+        q.  A matrix is scaled by a nonzero element, then sent through a ring
+        map to F_q, so the rank of an image never exceeds the matrix's."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -443,7 +443,9 @@ class GaussianRationalDomain(ScalarDomain):
         return GaussianRational(_sample_fraction(rng))
 
     def to_form(self, entries):
-        return _canonical(*_gaussian_integers(entries))
+        d = math.lcm(*(z.den for z in entries))
+        return _canonical([z.re_num * (d // z.den) for z in entries],
+                          [z.im_num * (d // z.den) for z in entries], d)
 
     def form_entries(self, form):
         re, im, d = form
@@ -557,13 +559,10 @@ class GaussianRationalDomain(ScalarDomain):
                 im.append(sum(map(mul, asum, bsum)) - rr - ii)
         return _canonical(re, im, xd * yd)
 
-    def residues(self, rows):
-        """Rows scaled to Gaussian integers, then re + im i -> re + _I im."""
-        images = []
-        for row in rows:
-            re, im, _ = _gaussian_integers(row)
-            images.append([(a + _I * b) % _P for a, b in zip(re, im)])
-        return images, _P
+    def residues(self, forms):
+        """The numerators, that is the matrix scaled by its denominator, sent
+        to F_P by re + im i -> re + _I im."""
+        return [[(a + _I * b) % _P for a, b in zip(re, im)] for re, im, _ in forms], _P
 
     def __eq__(self, other):
         return isinstance(other, GaussianRationalDomain)
@@ -697,23 +696,15 @@ class PrimeFieldDomain(ScalarDomain):
         """`matmul_mod` on the values."""
         return tuple(matmul_mod(x, y, n, k, m, self.p))
 
-    def residues(self, rows):
-        """The element values: the map is the identity."""
-        return [[z.value for z in row] for row in rows], self.p
+    def residues(self, forms):
+        """The forms themselves, the element values: the map is the identity."""
+        return list(forms), self.p
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p
 
     def __hash__(self):
         return hash((self.name, self.p))
-
-
-def _gaussian_integers(values):
-    """(real parts, imaginary parts, lcm of the denominators) of Gaussian
-    rationals scaled by that lcm; the parts are plain ints."""
-    den = math.lcm(*(z.den for z in values))
-    return ([z.re_num * (den // z.den) for z in values],
-            [z.im_num * (den // z.den) for z in values], den)
 
 
 def _identity(n):

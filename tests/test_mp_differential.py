@@ -124,3 +124,53 @@ def test_is_k_inverse_forms_only_the_products_k_uses(k, monkeypatch):
     # a x for (1) and (3), x a for (2) and (4), then a x a for (1), x a x for (2).
     expected = (bool(k & {1, 3}) + bool(k & {2, 4}) + (1 in k) + (2 in k))
     assert len(products) == expected
+
+
+def _products_until_first_failure(k, flags):
+    """Products is_k_inverse may form for K = k when flags gives each
+    equation's truth: it tries (3), (4), (1), (2), forms a x for (3) or
+    (1) and x a for (4) or (2) when first needed, one more product for
+    (1) and for (2), and stops at the first failing equation."""
+    formed, count = set(), 0
+    for j in (3, 4, 1, 2):
+        if j not in k:
+            continue
+        base = "ax" if j in (1, 3) else "xa"
+        count += base not in formed
+        formed.add(base)
+        count += j in (1, 2)
+        if not flags[j]:
+            break
+    return count
+
+
+def test_false_is_k_inverse_forms_only_the_products_up_to_the_first_failure(monkeypatch):
+    """The false-path twin of the test above: a false membership stops at
+    its first failing equation, so the products of later ones are never
+    formed.  Candidates of every kind make each equation the first to
+    fail for some K."""
+    rng = random.Random(12)
+    a = Matrix.from_rows([[1, 2, 0], [0, 1, "i"]], GAUSSIAN_RATIONAL)
+    y = random_matrix(GAUSSIAN_RATIONAL, 3, 2, rng)
+    candidates = (sample_13_inverse(a, y), sample_14_inverse(a, y),
+                  random_matrix(GAUSSIAN_RATIONAL, 3, 2, rng), Matrix.zeros(3, 2, GAUSSIAN_RATIONAL))
+    products = []
+    original = Matrix.__matmul__
+
+    def counted(self, other):
+        products.append((self.shape, other.shape))
+        return original(self, other)
+
+    first_failures = set()
+    for x in candidates:
+        flags = _written_out(a, x)
+        for k in ALL_K:
+            if all(flags[j] for j in k):
+                continue
+            first_failures.add(next(j for j in (3, 4, 1, 2) if j in k and not flags[j]))
+            products.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(Matrix, "__matmul__", counted)
+                assert not is_k_inverse(a, x, k)
+            assert len(products) == _products_until_first_failure(k, flags), (x, k)
+    assert first_failures == {1, 2, 3, 4}

@@ -40,6 +40,12 @@ P = rolcheck.scalars._P
 DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7))
 
 
+def _residue_rows(domain, m):
+    """(rows of m's residues, q), for row_reduce_mod."""
+    (image,), q = domain.residues([m.form])
+    return [image[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)], q
+
+
 def _exact_basis(n, domain, commute_with, left_zero=(), right_zero=()):
     """Kernel of the Kronecker system by nullspace_basis, folded back as
     matrix_equation_basis folds it (column stacking)."""
@@ -147,8 +153,8 @@ def test_certified_and_declined_bases_equal_the_exact_path():
 def test_entries_divisible_by_p_decline_and_still_give_e():
     b = Matrix.from_rows([[0, P], [0, 0]], G)
     system = _equation_system(2, G, commute_with=(b, b.star()))
-    assert len(row_reduce_mod(*G.residues([system.row(i) for i in range(system.rows)]))[1]) == 0
-    assert G.residues([b.entries, b.star().entries]) == ([[0] * 4] * 2, P)
+    assert len(row_reduce_mod(*_residue_rows(G, system))[1]) == 0
+    assert G.residues([b.form, b.star().form]) == ([[0] * 4] * 2, P)
     assert not _cyclic_certificate(2, G, (b, b.star()), (), (), 1)
     assert matrix_equation_basis(2, G, commute_with=(b, b.star())) == [Matrix.identity(2, G)]
 
@@ -167,7 +173,7 @@ def test_prime_and_square_root_of_minus_one():
     assert p % 4 == 1 and p < 2**15
     assert all(p % d for d in range(2, int(p**0.5) + 1))
     assert (i * i + 1) % p == 0
-    assert G.residues([[rolcheck.scalars.GaussianRational(0, 1)]]) == ([[i]], p)
+    assert G.residues([Matrix(1, 1, G, [rolcheck.scalars.GaussianRational(0, 1)]).form]) == ([[i]], p)
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
@@ -184,7 +190,7 @@ def test_rank_mod_p_bounds_the_rank(domain, rows, cols, target, times_p, seed):
         k = P * G.sample_coefficient(rng)
         m = Matrix(rows, cols, G, [v * k if times_p == "matrix" or i < cols else v
                                    for i, v in enumerate(m.entries)])
-    got = len(row_reduce_mod(*domain.residues([m.row(i) for i in range(rows)]))[1])
+    got = len(row_reduce_mod(*_residue_rows(domain, m))[1])
     if domain != G:
         assert got == rank(m)
     else:
