@@ -62,7 +62,9 @@ def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
     u has target_rank columns, so rank(u v) is at most target_rank.  The
     rank of its residues mod a prime (`ScalarDomain.residues`) is at most
     its rank, so when the residue rank reaches target_rank, that is the
-    rank.  The exact rank runs only when the residue rank falls short."""
+    rank.  The exact rank runs only when the residue rank falls short, and
+    not where the residues are the values (`residues_are_values`, F_p):
+    there the residue rank is the rank, and a short one is a short rank."""
     if target_rank == 0:
         return Matrix.zeros(rows, cols, domain)
     for _ in range(1000):
@@ -71,7 +73,8 @@ def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
         a = u @ v
         (image,), q = domain.residues([a.form])
         images = [image[i * cols : (i + 1) * cols] for i in range(rows)]
-        if len(row_reduce_mod(images, q)[1]) == target_rank or rank(a) == target_rank:
+        if len(row_reduce_mod(images, q)[1]) == target_rank or (
+                not domain.residues_are_values and rank(a) == target_rank):
             return a
     raise InvalidSpec(f"cannot hit rank {target_rank} for {rows}x{cols} over {domain.name}")
 

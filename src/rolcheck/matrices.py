@@ -259,8 +259,9 @@ def inverse(a: Matrix) -> Matrix:
 
 
 def random_matrix(domain: ScalarDomain, rows, cols, rng) -> Matrix:
-    """Dense matrix of small random entries, deterministic under rng."""
-    return Matrix(rows, cols, domain, [domain.sample(rng) for _ in range(rows * cols)])
+    """Dense matrix of small random entries, deterministic under rng: the
+    domain's `sample_form`, which draws each entry as `sample` does."""
+    return Matrix._of(rows, cols, domain, domain.sample_form(rng, rows * cols))
 
 
 # --- JSON interchange -------------------------------------------------------

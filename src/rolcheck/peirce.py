@@ -10,7 +10,11 @@ unknowns first writes the weight as a polynomial in one cyclic element of
 the algebra the commute matrices generate; its rank modulo one prime (in
 F_p, p itself) proves a generic kernel trivial (span(e), or {0} for the
 four-way weight), so the exact solve runs only when the kernel may be
-larger.  Its ranks and products mod the prime run on F_p's own kernels,
+larger.  That rank is taken first on row 0 of each n x n block of the
+system, n rows of blocks * n ints: a column subset, so its rank never
+exceeds the whole system's, and reaching the bound there proves the whole
+rank reaches it.  The whole system is reduced only when row 0 falls
+short.  Its ranks and products mod the prime run on F_p's own kernels,
 `scalars.row_reduce_mod` and `scalars.matmul_mod`.
 """
 
@@ -70,22 +74,68 @@ def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) ->
 _CANDIDATES = ((1, 1), (2, 1), (1, 3), (3, 2))
 
 
+def _cyclic_element(commute, n, q):
+    """H = m + lambda m' + mu m m' mod q, with m and m' the first and the
+    last commute image, for the first (lambda, mu) in _CANDIDATES whose
+    Krylov matrix [e1, H e1, ..., H^(n-1) e1] has rank n mod q, or None
+    when none has."""
+    first, last = commute[0], commute[-1]
+    product = matmul_mod(first, last, n, n, n, q)
+    for lam, mu in _CANDIDATES:
+        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
+        krylov = [[1] + [0] * (n - 1)]
+        for _ in range(n - 1):
+            krylov.append(matmul_mod(h, krylov[-1], n, n, 1, q))
+        if len(row_reduce_mod(krylov, q)[1]) == n:
+            return h
+    return None
+
+
+def _system_rows(h, commute, lefts, rights, n, kept, q):
+    """The n rows of the certificate's system in x, cut to the first `kept`
+    rows of each n x n block.  Row k holds those rows of H^k m - m H^k for
+    each commute image m, of l H^k for each l in lefts and of H^k r for
+    each r in rights, each row-major; kept = n gives the whole system.
+
+    Row i of H^k m - m H^k is (e_i' H^k) m - (row i of m) H^k, so the kept
+    rows of H^k, of each m H^k and of each l H^k are carried from k to
+    k + 1 by one kept x n by n x n product with H each."""
+    size = kept * n
+    power = [int(i == j) for i in range(kept) for j in range(n)]
+    carried = [power] + [m[:size] for m in commute] + [l[:size] for l in lefts]
+    rows = []
+    for k in range(n):
+        if k:
+            carried = [matmul_mod(x, h, kept, n, n, q) for x in carried]
+        power, *moved = carried
+        row = []
+        for m, mh in zip(commute, moved):
+            row += [(u - v) % q for u, v in zip(matmul_mod(power, m, kept, n, n, q), mh)]
+        for lh in moved[len(commute):]:
+            row += lh
+        for r in rights:
+            row += matmul_mod(power, r, kept, n, n, q)
+        rows.append(row)
+    return rows
+
+
 def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) -> bool:
     """Whether the kernel of matrix_equation_basis's system is proved to be
     its known part, of dimension n - stop.
 
     Each given matrix m goes to F_q once, from its form, through
     `domain.residues`, which gives the image of D m for D the common
-    denominator of m; D m has the same solutions as m.  With m and m' the
-    first and the last commute matrix, H = m + lambda m' + mu m m' is
-    taken for the first (lambda, mu) in _CANDIDATES whose Krylov matrix
-    [e1, H e1, ..., H^(n-1) e1] has rank n mod q; if none has, the
-    certificate declines, as it does without commute matrices.  Writing c = sum x_k H^k, row k of
-    the system in x is vec(H^k m - m H^k) for each commute matrix, then
-    vec(l H^k) for each l in left_zero and vec(H^k r) for each r in
-    right_zero.  These n rows are the transpose of the n-column system, so
-    their rank mod q is its rank; the certificate fires when it reaches
-    `stop`.  Each rank is the pivot count of `row_reduce_mod`, and each
+    denominator of m; D m has the same solutions as m.  `_cyclic_element`
+    picks H, a cyclic element mod q of the algebra the commute matrices
+    generate; without one, or without commute matrices, the certificate
+    declines.  Writing c = sum x_k H^k, row k of the system in x is
+    vec(H^k m - m H^k) for each commute matrix, then vec(l H^k) for each l
+    in left_zero and vec(H^k r) for each r in right_zero.  These n rows
+    are the transpose of the n-column system, so their rank mod q is its
+    rank; the certificate fires when it reaches `stop`.  The rank is taken
+    first on row 0 of every block (`_system_rows` with kept = 1: n rows of
+    blocks * n ints), and on all n rows of each block only when that falls
+    short.  Each rank is the pivot count of `row_reduce_mod`, and each
     product is `matmul_mod`, the kernels of F_p's row_reduce and matmul."""
     # Why a full rank is enough.  H is the image of an element of the
     # algebra the commute matrices generate over the domain, so every
@@ -101,36 +151,27 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
     # kernel, and lies in the known span.  The Krylov test only ends the
     # search early, so that the first cyclic candidate is final; soundness
     # does not rest on it.
+    #
+    # Why row 0 of each block is enough once its rank reaches stop.  That
+    # system is a column subset of the whole one, and dropping columns never
+    # raises a rank, so the whole rank reaches stop too.  Neither passes
+    # stop: the whole system has n rows, and without zero blocks its row
+    # k = 0 (H^0 = e) is zero.  So the certificate fires exactly where the
+    # whole system's rank reaches stop, and the whole system is reduced
+    # only when the one-row rank falls short of it.
     if not commute_with:
         return False
     commute, q = domain.residues([m.form for m in commute_with])
+    h = _cyclic_element(commute, n, q)
+    if h is None:
+        return False
     lefts = domain.residues([l.form for l in left_zero])[0]
     rights = domain.residues([r.form for r in right_zero])[0]
-    first, last = commute[0], commute[-1]
-    product = matmul_mod(first, last, n, n, n, q)
-    for lam, mu in _CANDIDATES:
-        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
-        krylov = [[1] + [0] * (n - 1)]
-        for _ in range(n - 1):
-            krylov.append(matmul_mod(h, krylov[-1], n, n, 1, q))
-        if len(row_reduce_mod(krylov, q)[1]) == n:
-            break
-    else:
-        return False
-    power = [int(i == j) for i in range(n) for j in range(n)]
-    rows = []
-    for _ in range(n):
-        row = []
-        for m in commute:
-            row += [(u - v) % q for u, v in zip(matmul_mod(power, m, n, n, n, q),
-                                                matmul_mod(m, power, n, n, n, q))]
-        for l in lefts:
-            row += matmul_mod(l, power, n, n, n, q)
-        for r in rights:
-            row += matmul_mod(power, r, n, n, n, q)
-        rows.append(row)
-        power = matmul_mod(power, h, n, n, n, q)
-    return len(row_reduce_mod(rows, q)[1]) == stop
+    for kept in sorted({1, n}):
+        rows = _system_rows(h, commute, lefts, rights, n, kept, q)
+        if len(row_reduce_mod(rows, q)[1]) == stop:
+            return True
+    return False
 
 
 def matrix_equation_basis(n, domain, commute_with=(), left_zero=(), right_zero=()):

@@ -304,9 +304,11 @@ def _parse_fraction(text):
 class ScalarDomain:
     """A scalar field together with its involution and string grammar.
 
-    The law checker reads two facts in place of tests of the type:
-    whether every matrix over the domain has a Moore-Penrose inverse, and
-    a basis of the domain over the scalars its involution fixes.
+    The law checker reads three facts in place of tests of the type:
+    whether every matrix over the domain has a Moore-Penrose inverse, a
+    basis of the domain over the scalars its involution fixes, and whether
+    `residues` gives the element values themselves, so that the rank of an
+    image is the matrix's rank and not only a lower bound.
 
     Matrices hold the domain's form (module docstring) and compute on it
     with the form operations: to_form(entries) and form_entries(form),
@@ -314,11 +316,13 @@ class ScalarDomain:
     form_add(x, y), form_neg(x), form_scale(x, coeff) by an element,
     form_star(x, rows, cols), the conjugate transpose, form_select(forms,
     index), the entries at `index` of the forms laid end to end,
-    form_is_zero(x), row_reduce and matmul."""
+    form_is_zero(x), row_reduce and matmul.  A random matrix is drawn
+    straight as a form, by sample_form(rng, count)."""
 
     name = "abstract"
     mp_always_exists = False
     real_units = ()
+    residues_are_values = False
 
     def zero(self):
         raise NotImplementedError
@@ -342,9 +346,15 @@ class ScalarDomain:
         """The domain's tag in matrix JSON, a fresh value per call."""
         raise NotImplementedError
 
-    def sample(self, rng):
-        """Random small element, deterministic under the given rng."""
+    def sample_form(self, rng, count):
+        """The form of `count` random small entries, row-major,
+        deterministic under the given rng."""
         raise NotImplementedError
+
+    def sample(self, rng):
+        """Random small element: the one entry of a `sample_form` draw, so
+        an element and a matrix entry are drawn by the same rng calls."""
+        return self.form_entries(self.sample_form(rng, 1))[0]
 
     def sample_coefficient(self, rng):
         """Random combination coefficient: numerator in [-5, 5], denominator in {1, 2, 3}."""
@@ -436,11 +446,17 @@ class GaussianRationalDomain(ScalarDomain):
     def json_tag(self):
         return "gaussian_rational"
 
-    def sample(self, rng):
-        return GaussianRational(_sample_fraction(rng), _sample_fraction(rng))
+    def sample_form(self, rng, count):
+        """Real, then imaginary part of each entry, each a numerator in
+        [-5, 5] over a denominator in {1, 2, 3}, put over 6."""
+        re, im = [], []
+        for _ in range(count):
+            re.append(_sample_sixths(rng))
+            im.append(_sample_sixths(rng))
+        return _canonical(re, im, 6)
 
     def sample_coefficient(self, rng):
-        return GaussianRational(_sample_fraction(rng))
+        return GaussianRational._raw(_sample_sixths(rng), 0, 6)
 
     def to_form(self, entries):
         d = math.lcm(*(z.den for z in entries))
@@ -609,6 +625,8 @@ def matmul_mod(a, b, n, k, m, p):
 
 
 class PrimeFieldDomain(ScalarDomain):
+    residues_are_values = True  # residues returns the forms, the values
+
     def __init__(self, p):
         _check_odd_prime(p)
         self.p = p
@@ -647,8 +665,9 @@ class PrimeFieldDomain(ScalarDomain):
     def json_tag(self):
         return {"prime_field": self.p}
 
-    def sample(self, rng):
-        return PrimeFieldElement(rng.randrange(self.p), self.p)
+    def sample_form(self, rng, count):
+        p = self.p
+        return tuple(rng.randrange(p) for _ in range(count))
 
     def sample_coefficient(self, rng):
         num = rng.randint(-5, 5)
@@ -733,8 +752,10 @@ def _format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _sample_fraction(rng) -> Fraction:
-    return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+def _sample_sixths(rng) -> int:
+    """Sixths in a random small fraction: a numerator in [-5, 5], then a
+    denominator in {1, 2, 3}."""
+    return rng.randint(-5, 5) * (6 // rng.choice((1, 2, 3)))
 
 
 GAUSSIAN_RATIONAL = GaussianRationalDomain()

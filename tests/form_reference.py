@@ -1,11 +1,38 @@
 """The entry loops Matrix ran on scalar objects before it stored integer
 forms, kept as the independent reference for tests/test_form_ops.py.
 They work on scalar objects through their public operations only, so
-they share no code with the form operations in rolcheck.scalars."""
+they share no code with the form operations in rolcheck.scalars.  The
+random draws build each entry from its Fractions, as they did before a
+matrix was drawn straight as a form."""
+
+from fractions import Fraction
 
 from rolcheck.errors import DimensionMismatch, Singular
 from rolcheck.matrices import Matrix
+from rolcheck.scalars import GAUSSIAN_RATIONAL, GaussianRational, PrimeFieldElement
 from rref_reference import rref
+
+
+def _fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3)))
+
+
+def sample(domain, rng):
+    """A random small element: over Q(i) a real part, then an imaginary
+    part, each a numerator in [-5, 5] over a denominator in {1, 2, 3};
+    over F_p a value in [0, p)."""
+    if domain == GAUSSIAN_RATIONAL:
+        return GaussianRational(_fraction(rng), _fraction(rng))
+    return PrimeFieldElement(rng.randrange(domain.p), domain.p)
+
+
+def sample_coefficient(domain, rng):
+    """A random real coefficient over Q(i), drawn as one part of `sample`."""
+    return GaussianRational(_fraction(rng))
+
+
+def random_matrix(domain, rows, cols, rng) -> Matrix:
+    return Matrix(rows, cols, domain, [sample(domain, rng) for _ in range(rows * cols)])
 
 
 def add(a: Matrix, b: Matrix) -> Matrix:

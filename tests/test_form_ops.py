@@ -2,9 +2,12 @@
 form_reference.py: +, -, negation, scale, star, ==, is_zero,
 is_hermitian, is_identity and inverse give the entries the loops give,
 every result is in canonical form, and one matrix has one form whatever
-route reached it."""
+route reached it.  random_matrix, drawn straight as a form, and sample
+and sample_coefficient give what the scalar-built draws give, and leave
+the generator in the same state."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ import form_reference as ref
 import rolcheck.scalars
 from rolcheck import GAUSSIAN_RATIONAL, GaussianRational, Matrix, PrimeFieldElement, prime_field
 from rolcheck.errors import Singular
-from rolcheck.matrices import inverse
+from rolcheck.matrices import inverse, random_matrix
 
 G = GAUSSIAN_RATIONAL
 DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
@@ -179,3 +182,27 @@ def test_entries_are_built_once_on_first_read():
     first = product.entries
     assert product.entries is first
     assert [str(x) for x in first] == ["1/4", "7/2i", "0", "9"]
+
+
+DRAW_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 3), (6, 4), (8, 6)]
+
+
+@pytest.mark.parametrize("domain", (G, prime_field(3), prime_field(7)), ids=lambda d: d.name)
+def test_form_draws_match_the_scalar_built_draws(domain):
+    """Each draw takes the same rng calls in the same order as the scalar
+    path, so forms, elements and the generator state after it all agree."""
+    for seed in range(60):
+        got, want = random.Random(seed), random.Random(seed)
+        for rows, cols in DRAW_SHAPES:
+            m = random_matrix(domain, rows, cols, got)
+            expected = ref.random_matrix(domain, rows, cols, want)
+            assert (m.rows, m.cols, m.form) == (expected.rows, expected.cols, expected.form)
+            assert _canonical(m) and m.entries == expected.entries
+            assert got.getstate() == want.getstate(), (seed, rows, cols)
+        for _ in range(5):
+            x = domain.sample(got)
+            assert x == ref.sample(domain, want) and domain.is_element(x)
+            assert got.getstate() == want.getstate()
+        if domain == G:
+            assert G.sample_coefficient(got) == ref.sample_coefficient(G, want)
+            assert got.getstate() == want.getstate()

@@ -1,4 +1,5 @@
 import json
+import random
 from dataclasses import replace
 
 import pytest
@@ -19,7 +20,9 @@ from rolcheck import (
     run_suite,
     search_counterexample,
 )
-from rolcheck.harness import _trial_seeds
+import rolcheck.harness
+from rolcheck.harness import _trial_seeds, random_matrix_of_rank
+from rolcheck.matrices import random_matrix
 
 G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
@@ -43,6 +46,25 @@ def test_gen_instance_rank_targets():
         assert rank(a) == k
         assert rank(b) == 2 - k
         assert commutes_with_pair(c, b)
+
+
+def test_rank_draws_over_f_p_run_no_exact_rank(monkeypatch):
+    """Over F_p the residues are the values, so their rank is the rank: a
+    draw that falls short is redrawn with no exact rank, and the draws are
+    those of redrawing until the exact rank is right.  Over F_3 some
+    6 x 6 products of 6 x 4 and 4 x 6 factors fall short."""
+    f3 = prime_field(3)
+    calls = []
+    monkeypatch.setattr(rolcheck.harness, "rank", lambda a: calls.append(a) or rank(a))
+    got, want = random.Random(6), random.Random(6)
+    short = 0
+    for _ in range(60):
+        a = random_matrix(f3, 6, 4, want) @ random_matrix(f3, 4, 6, want)
+        while rank(a) != 4:
+            short += 1
+            a = random_matrix(f3, 6, 4, want) @ random_matrix(f3, 4, 6, want)
+        assert random_matrix_of_rank(f3, 6, 6, 4, got) == a
+    assert short > 0 and calls == []
 
 
 def test_gen_instance_weight_modes():

@@ -13,6 +13,15 @@ over Q(i), F_3, F_5 and F_7, on random b and on reducible b whose
 commutant is larger than the scalars, where the certificate must decline.
 A planted certificate that always fires must fail the comparison, and a
 property test holds every firing against the exact kernel.
+
+The rank is taken first on row 0 of each block (`_system_rows` with
+kept = 1), and on the whole system only when that falls short.  A
+property test holds both against the whole system as the n x n loop
+built it before (`_whole_rows_reference`): the whole rows are that
+system, the one-row rows a column subset of it, and the certificate fires
+exactly where its rank reaches the bound.  Pinned systems over F_3 need
+the whole system, and a planted certificate that fires on a one-row rank
+one short of the bound must fail the comparisons.
 """
 
 import random
@@ -29,11 +38,13 @@ from rolcheck.laws import LAWS
 from rolcheck.matrices import inverse, nullspace_basis, random_matrix, rank
 from rolcheck.peirce import (
     _cyclic_certificate,
+    _cyclic_element,
     _equation_system,
+    _system_rows,
     matrix_equation_basis,
     sample_constrained,
 )
-from rolcheck.scalars import row_reduce_mod
+from rolcheck.scalars import matmul_mod, row_reduce_mod
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.scalars._P
@@ -113,6 +124,51 @@ def _cases(domain):
 
 
 CASES = {domain: list(_cases(domain)) for domain in DOMAINS}
+
+
+def _whole_rows_reference(h, commute, lefts, rights, n, q):
+    """The certificate's whole system as its loop built it before the
+    one-row step: H^k in full, and every block an n x n product."""
+    power = [int(i == j) for i in range(n) for j in range(n)]
+    rows = []
+    for _ in range(n):
+        row = []
+        for m in commute:
+            row += [(u - v) % q for u, v in zip(matmul_mod(power, m, n, n, n, q),
+                                                matmul_mod(m, power, n, n, n, q))]
+        for l in lefts:
+            row += matmul_mod(l, power, n, n, n, q)
+        for r in rights:
+            row += matmul_mod(power, r, n, n, n, q)
+        rows.append(row)
+        power = matmul_mod(power, h, n, n, n, q)
+    return rows
+
+
+def _certificate_ranks(n, domain, commute_with, left_zero, right_zero):
+    """(one-row rank, whole rank) of the certificate's two systems, None
+    when no candidate is cyclic, after checking that the builder's whole
+    rows are the reference system and its one-row rows the first n
+    columns of each of its blocks."""
+    commute, q = domain.residues([m.form for m in commute_with])
+    h = _cyclic_element(commute, n, q)
+    if h is None:
+        return None
+    lefts = domain.residues([l.form for l in left_zero])[0]
+    rights = domain.residues([r.form for r in right_zero])[0]
+    whole = _whole_rows_reference(h, commute, lefts, rights, n, q)
+    assert _system_rows(h, commute, lefts, rights, n, n, q) == whole
+    one_row = _system_rows(h, commute, lefts, rights, n, 1, q)
+    assert one_row == [[v for t in range(0, len(row), n * n) for v in row[t : t + n]]
+                       for row in whole]
+    return tuple(len(row_reduce_mod(rows, q)[1]) for rows in (one_row, whole))
+
+
+def _one_short_mutant(n, domain, commute_with, left_zero, right_zero, stop):
+    """The certificate with a planted fault: it fires on a one-row rank one
+    short of stop."""
+    ranks = _certificate_ranks(n, domain, commute_with, left_zero, right_zero)
+    return ranks is not None and ranks[0] >= stop - 1
 
 
 def _run_cases(domain, certificate):
@@ -258,13 +314,14 @@ def test_no_cyclic_candidate_declines_and_gives_the_exact_basis(domain):
 # --- the four-way weight of T38 and T39 ---------------------------------------
 
 
-def _four_way_outcomes(pairs):
-    """For each (m, left_zero, right_zero, seed): whether the certificate
-    fired, the weight, and the weight with the certificate switched off."""
+def _four_way_outcomes(pairs, certificate=_cyclic_certificate):
+    """For each (m, left_zero, right_zero, seed): whether `certificate`,
+    standing in for peirce._cyclic_certificate, fired, the weight, and the
+    weight with the certificate switched off."""
     fired = []
 
     def spy(*args):
-        ok = _cyclic_certificate(*args)
+        ok = certificate(*args)
         fired.append(ok)
         return ok
 
@@ -279,20 +336,27 @@ def _four_way_outcomes(pairs):
     return out
 
 
+def _four_way_pairs(domain):
+    """(m, left_zero, right_zero, seed) of T38 and T39 weights on random
+    pairs with ab nonzero, on either side."""
+    rng = random.Random(38)
+    pairs = []
+    for n in (2, 3, 4):
+        for seed in range(4):
+            a = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
+            b = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
+            ab = a @ b
+            if not ab.is_zero():
+                for law in (LawId.T38, LawId.T39):
+                    products = LAWS[law].weight_zero(ab)
+                    pairs.append((b, *products, seed))
+                    pairs.append((a, *products, seed))
+    return pairs
+
+
 def test_four_way_weight_equals_the_exact_path():
     for domain in DOMAINS:
-        rng = random.Random(38)
-        pairs = []
-        for n in (2, 3, 4):
-            for seed in range(4):
-                a = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
-                b = random_matrix_of_rank(domain, n, n, rng.randint(1, n), rng)
-                ab = a @ b
-                if not ab.is_zero():
-                    for law in (LawId.T38, LawId.T39):
-                        products = LAWS[law].weight_zero(ab)
-                        pairs.append((b, *products, seed))
-                        pairs.append((a, *products, seed))
+        pairs = _four_way_pairs(domain)
         outcomes = _four_way_outcomes(pairs)
         assert all(c == exact for _, c, exact in outcomes), domain
         assert sum(fired is True for fired, _, _ in outcomes) >= len(outcomes) // 2, domain
@@ -320,3 +384,83 @@ def test_t38_t39_instances_equal_the_exact_path(law):
         patch.setattr(rolcheck.peirce, "_cyclic_certificate", lambda *args: False)
         exact = [gen_instance(spec, law) for spec in specs]
     assert [gen_instance(spec, law) for spec in specs] == exact
+
+
+# --- row 0 of each block first, the whole system on a shortfall -----------------
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.sampled_from(("random", "random", "diag(b1, b1)")),
+       st.sampled_from((None, LawId.T38, LawId.T39)), st.integers(0, 2**32))
+def test_one_row_certifies_only_where_the_whole_system_does(domain, n, kind, law, seed):
+    """The one-row rank never passes the whole rank, which never passes the
+    bound; the certificate fires exactly where the whole rank reaches it,
+    and the basis is the exact path's either way."""
+    rng = random.Random(seed)
+    if kind == "random":
+        b = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+    else:
+        n = 2 * max(1, n // 2)
+        b = _block_diagonal(random_matrix(domain, n // 2, n // 2, rng))
+    left = right = ()
+    if law is not None:
+        a = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
+        left, right = LAWS[law].weight_zero(a @ b)
+    stop = n if left or right else n - 1
+    commute = (b, b.star())
+    ranks = _certificate_ranks(n, domain, commute, left, right)
+    fired = _cyclic_certificate(n, domain, commute, left, right, stop)
+    if ranks is None:
+        assert not fired
+    else:
+        one_row, whole = ranks
+        assert one_row <= whole <= stop
+        assert fired == (whole == stop)
+    basis = matrix_equation_basis(n, domain, commute, left, right)
+    assert basis == _exact_basis(n, domain, commute, left, right)
+
+
+F3 = prime_field(3)
+# Pairs over F_3 (b, and a for a T38 weight) whose one-row rank falls one
+# short of the bound while the whole system reaches it.
+FALLBACKS = [
+    ([[2, 0, 0], [2, 1, 1], [1, 0, 1]], None),
+    ([[0, 0, 2], [0, 0, 2], [0, 0, 0]], [[0, 0, 1], [1, 0, 2], [0, 0, 1]]),
+]
+
+
+@pytest.mark.parametrize("b_rows, a_rows", FALLBACKS)
+def test_a_short_one_row_rank_falls_back_to_the_whole_system(b_rows, a_rows):
+    b = Matrix.from_rows(b_rows, F3)
+    left = right = ()
+    if a_rows is not None:
+        left, right = LAWS[LawId.T38].weight_zero(Matrix.from_rows(a_rows, F3) @ b)
+    n, commute = b.rows, (b, b.star())
+    known = [] if left or right else [Matrix.identity(n, F3)]
+    stop = n - len(known)
+    assert _certificate_ranks(n, F3, commute, left, right) == (stop - 1, stop)
+    kept = []
+
+    def spy(*args):
+        kept.append(args[5])
+        return _system_rows(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rolcheck.peirce, "_system_rows", spy)
+        assert _cyclic_certificate(n, F3, commute, left, right, stop)
+        assert matrix_equation_basis(n, F3, commute, left, right) == known
+    assert kept == [1, n, 1, n]
+    assert _exact_basis(n, F3, commute, left, right) == known
+
+
+def test_one_short_mutant_fails_the_comparisons():
+    """A certificate that fires on a one-row rank one short of the bound
+    gives a basis or a weight the exact path does not, in the commutant
+    cases and in the four-way pairs."""
+    for domain in DOMAINS:
+        results = _run_cases(domain, _one_short_mutant)
+        assert any(basis != exact for _, _, _, basis, exact in results), domain
+    outcomes = [out for domain in DOMAINS
+                for out in _four_way_outcomes(_four_way_pairs(domain), _one_short_mutant)]
+    assert any(c != exact for _, c, exact in outcomes)
