@@ -20,8 +20,15 @@ factorization a = f g of rank r, MacDuffee's formula
 holds in any ring with involution where the core is invertible, and a+
 exists exactly then.  Over the Gaussian rationals the core is always
 invertible (the base field is formally real); over a prime field it can
-be singular.  The group inverse is the commuting {1,2}-inverse of a
-square matrix; it exists iff rank(a^2) = rank(a).
+be singular.  Any full-rank factorization serves (Ben-Israel & Greville,
+Generalized Inverses, ch. 1): another is f T, T^-1 g for an invertible
+T, whose core T* (f* f)(g g*) T^-* has the same rank, and a+ is unique.
+So a matrix the harness drew as u v (`Matrix._factors`) is inverted on
+those small factors, with no RREF of a, and every other matrix on its
+RREF factorization; the result and the existence verdict are the same.
+
+The group inverse is the commuting {1,2}-inverse of a square matrix; it
+exists iff rank(a^2) = rank(a).
 """
 
 from __future__ import annotations
@@ -95,8 +102,14 @@ def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
 
 
 def _macduffee(a: Matrix):
-    """Rank factorization a = f g and the r x r core f* a g* = (f* f)(g g*)."""
-    fact = rank_factorization(a)
+    """Full-rank factorization a = f g and the r x r core (f* f)(g g*).
+
+    The factorization is the one a was drawn as (`a._factors`, set by
+    harness.random_matrix_of_rank) when there is one, and the RREF one
+    (`rank_factorization`) otherwise.  Either serves: two full-rank
+    factorizations satisfy f' = f T and g' = T^-1 g for an invertible T,
+    so core' = T* core T^-*, of the same rank, and a+ is unique."""
+    fact = a._factors or rank_factorization(a)
     f, g = fact.f, fact.g
     return fact, (f.star() @ f) @ (g @ g.star())
 

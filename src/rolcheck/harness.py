@@ -25,7 +25,7 @@ from .laws import (
     check_equivalence,
     law_statement,
 )
-from .matrices import Matrix, matrix_to_json, random_matrix, rank
+from .matrices import Matrix, RankFactorization, matrix_to_json, random_matrix, rank
 from .peirce import sample_commutant, sample_constrained
 from .scalars import ScalarDomain, row_reduce_mod
 
@@ -64,9 +64,13 @@ def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
     its rank, so when the residue rank reaches target_rank, that is the
     rank.  The exact rank runs only when the residue rank falls short, and
     not where the residues are the values (`residues_are_values`, F_p):
-    there the residue rank is the rank, and a short one is a short rank."""
-    if target_rank == 0:
-        return Matrix.zeros(rows, cols, domain)
+    there the residue rank is the rank, and a short one is a short rank.
+    At rank 0, u and v are empty and draw nothing.
+
+    The returned a records (u, v) as its full-rank factorization, which
+    geninv's MacDuffee formula then takes in place of the RREF one: once
+    rank(u v) = target_rank is proved, u has full column rank and v full
+    row rank, and their small entries make a small core."""
     for _ in range(1000):
         u = random_matrix(domain, rows, target_rank, rng)
         v = random_matrix(domain, target_rank, cols, rng)
@@ -75,6 +79,7 @@ def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:
         images = [image[i * cols : (i + 1) * cols] for i in range(rows)]
         if len(row_reduce_mod(images, q)[1]) == target_rank or (
                 not domain.residues_are_values and rank(a) == target_rank):
+            a._factors = RankFactorization(u, v, target_rank)
             return a
     raise InvalidSpec(f"cannot hit rank {target_rank} for {rows}x{cols} over {domain.name}")
 

@@ -35,7 +35,12 @@ from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, prime_field
 
 
 class Matrix:
-    __slots__ = ("rows", "cols", "domain", "form", "_entries")
+    # _factors is None, except on a matrix harness.random_matrix_of_rank
+    # returns: there it is the RankFactorization(u, v, r) the matrix was
+    # drawn as, u v, with rank r proved.  geninv's MacDuffee formula uses it
+    # in place of the RREF factorization; no operation passes it on, and it
+    # takes no part in == or in the JSON form.
+    __slots__ = ("rows", "cols", "domain", "form", "_entries", "_factors")
 
     def __init__(self, rows, cols, domain, entries):
         entries = tuple(entries)
@@ -51,6 +56,7 @@ class Matrix:
         self.domain = domain
         self.form = domain.to_form(entries)
         self._entries = entries
+        self._factors = None
 
     @classmethod
     def _of(cls, rows, cols, domain, form):
@@ -62,6 +68,7 @@ class Matrix:
         m.domain = domain
         m.form = form
         m._entries = None
+        m._factors = None
         return m
 
     @property

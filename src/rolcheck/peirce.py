@@ -25,7 +25,7 @@ import random
 from .errors import DimensionMismatch, EmptyK
 from .geninv import penrose_holds
 from .matrices import Matrix, nullspace_basis
-from .scalars import matmul_mod, row_reduce_mod
+from .scalars import columns, matmul_columns_mod, matmul_mod, row_reduce_mod
 
 
 def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
@@ -99,22 +99,27 @@ def _system_rows(h, commute, lefts, rights, n, kept, q):
 
     Row i of H^k m - m H^k is (e_i' H^k) m - (row i of m) H^k, so the kept
     rows of H^k, of each m H^k and of each l H^k are carried from k to
-    k + 1 by one kept x n by n x n product with H each."""
+    k + 1 by one kept x n by n x n product with H each.  The columns of H,
+    of each m and of each r are sliced once, for all n steps."""
     size = kept * n
     power = [int(i == j) for i in range(kept) for j in range(n)]
     carried = [power] + [m[:size] for m in commute] + [l[:size] for l in lefts]
+    h_cols = columns(h, n)
+    commute_cols = [columns(m, n) for m in commute]
+    right_cols = [columns(r, n) for r in rights]
     rows = []
     for k in range(n):
         if k:
-            carried = [matmul_mod(x, h, kept, n, n, q) for x in carried]
+            carried = [matmul_columns_mod(x, h_cols, kept, n, q) for x in carried]
         power, *moved = carried
         row = []
-        for m, mh in zip(commute, moved):
-            row += [(u - v) % q for u, v in zip(matmul_mod(power, m, kept, n, n, q), mh)]
+        for m_cols, mh in zip(commute_cols, moved):
+            row += [(u - v) % q
+                    for u, v in zip(matmul_columns_mod(power, m_cols, kept, n, q), mh)]
         for lh in moved[len(commute):]:
             row += lh
-        for r in rights:
-            row += matmul_mod(power, r, kept, n, n, q)
+        for r_cols in right_cols:
+            row += matmul_columns_mod(power, r_cols, kept, n, q)
         rows.append(row)
     return rows
 

@@ -614,14 +614,27 @@ def row_reduce_mod(rows, p):
     return m, tuple(pivots)
 
 
-def matmul_mod(a, b, n, k, m, p):
-    """Row-major ints in [0, p) of the n x m product of the n x k and k x m
-    matrices of ints whose row-major entries are a and b: dot products of
-    plain ints, reduced mod p once per entry.  F_p's `matmul` and the
-    weight certificate in peirce both run on it."""
-    cols = [b[j::m] for j in range(m)]
+def columns(b, m):
+    """The m columns of the matrix whose row-major entries are b, as the
+    right operand of `matmul_columns_mod`."""
+    return [b[j::m] for j in range(m)]
+
+
+def matmul_columns_mod(a, cols, n, k, p):
+    """Row-major ints in [0, p) of the product of the n x k matrix of ints
+    whose row-major entries are a and the k-row matrix whose `columns` are
+    cols: dot products of plain ints, reduced mod p once per entry.  A
+    caller that multiplies by one matrix many times slices it once."""
     return [sum(map(operator.mul, a[i * k : (i + 1) * k], col)) % p
             for i in range(n) for col in cols]
+
+
+def matmul_mod(a, b, n, k, m, p):
+    """Row-major ints in [0, p) of the n x m product of the n x k and k x m
+    matrices of ints whose row-major entries are a and b:
+    `matmul_columns_mod` on the columns of b.  F_p's `matmul` and the
+    weight certificate in peirce both run on it."""
+    return matmul_columns_mod(a, columns(b, m), n, k, p)
 
 
 class PrimeFieldDomain(ScalarDomain):

@@ -483,3 +483,33 @@ def test_blanket_identity_checks_survive_python_O():
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines() == ["optimize: 1", "caught: a = as"]
+
+
+_PLANTED_FACTORS_SCRIPT = """
+import random
+import sys
+from rolcheck import GAUSSIAN_RATIONAL, BlanketIdentityFailed, LawContext
+from rolcheck.harness import random_matrix_of_rank
+from rolcheck.matrices import RankFactorization
+
+print("optimize:", sys.flags.optimize)
+rng = random.Random(1)
+a = random_matrix_of_rank(GAUSSIAN_RATIONAL, 3, 3, 2, rng)
+b = random_matrix_of_rank(GAUSSIAN_RATIONAL, 3, 3, 2, rng)
+a._factors = RankFactorization(a._factors.f.scale(2), a._factors.g, 2)
+try:
+    LawContext(a, b)
+except BlanketIdentityFailed as exc:
+    print("caught:", exc.identity)
+"""
+
+
+def test_blanket_identity_checks_guard_recorded_factors_under_python_O():
+    # A recorded factorization (2u, v) of a = u v factors 2a, so MacDuffee's
+    # formula gives a+/2: s = a+a/2 stays hermitian but a = as breaks.  The
+    # existing blanket checks catch it with asserts stripped.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run([sys.executable, "-O", "-c", _PLANTED_FACTORS_SCRIPT],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["optimize: 1", "caught: a = as"]

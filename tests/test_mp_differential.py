@@ -7,6 +7,13 @@ and both routes must refuse exactly the matrices that fail the rank
 criterion rank(a) = rank(a* a) = rank(a a*), computed here with the
 reference elimination.  is_k_inverse is checked for every non-empty K
 against the four equations written out below.
+
+A matrix drawn by random_matrix_of_rank records the factors it was drawn
+as, and mp_inverse and mp_exists run on them in place of the RREF
+factorization.  They must give the same inverse, verdict and NoMPInverse
+message as a factor-free copy of the same matrix, no derived matrix may
+carry the factors, and LawContext must then run rref only for the two
+core inverses.
 """
 
 import itertools
@@ -14,14 +21,21 @@ import random
 
 import pytest
 
+import rolcheck.matrices
 from rolcheck import (
     GAUSSIAN_RATIONAL,
+    InstanceSpec,
+    LawContext,
     Matrix,
     NoMPInverse,
+    gen_instance,
     is_k_inverse,
+    matrix_from_json,
+    matrix_to_json,
     mp_exists,
     mp_inverse,
     prime_field,
+    rref,
 )
 from rolcheck.harness import random_matrix_of_rank
 from rolcheck.matrices import random_matrix
@@ -73,6 +87,89 @@ def test_mp_routes_agree_with_rank_criterion(domain):
     # Q(i) is formally real, so every matrix has an inverse there; over
     # F_p the refusal branch must be exercised.
     assert (without == 0) if domain == GAUSSIAN_RATIONAL else (without > 0)
+
+
+FACTOR_DOMAINS = (GAUSSIAN_RATIONAL, prime_field(3), prime_field(5), prime_field(7))
+
+
+def _factor_free(a):
+    """The same matrix with no recorded factors."""
+    return Matrix._of(a.rows, a.cols, a.domain, a.form)
+
+
+def _mp_outcome(a):
+    """a+, or the message of the NoMPInverse that refuses it."""
+    try:
+        return mp_inverse(a)
+    except NoMPInverse as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("domain", FACTOR_DOMAINS, ids=lambda d: d.name)
+def test_recorded_factors_give_what_the_rref_factorization_gives(domain):
+    """Any two full-rank factorizations differ by an invertible T, which
+    keeps the core's rank, and a+ is unique: so the drawn factors must
+    give the same a+, verdict and refusal message as the RREF ones."""
+    rng = random.Random(23)
+    refused = 0
+    for n in range(1, 9):
+        for r in range(n + 1):
+            a = random_matrix_of_rank(domain, n, n, r, rng)
+            fact = a._factors
+            assert fact.rank == r
+            assert fact.f.shape == (n, r) and fact.g.shape == (r, n)
+            assert fact.f @ fact.g == a
+            bare = _factor_free(a)
+            assert bare._factors is None
+            expected = _mp_outcome(bare)
+            assert _mp_outcome(a) == expected, (n, r)
+            exists = not isinstance(expected, str)
+            assert mp_exists(a) == mp_exists(bare) == exists, (n, r)
+            refused += not exists
+    # Over F_p the refusal, and its message, must be exercised.
+    assert (refused == 0) if domain == GAUSSIAN_RATIONAL else (refused > 0)
+
+
+def test_no_derived_matrix_carries_the_factors():
+    rng = random.Random(5)
+    for domain in FACTOR_DOMAINS:
+        draws = (random_matrix_of_rank(domain, 4, 4, 2, rng) for _ in range(50))
+        a = next(m for m in draws if mp_exists(m))
+        assert a._factors is not None
+        derived = (a.star(), a @ a, a + a, a - a, -a, a.scale(2), rref(a)[0],
+                   mp_inverse(a), matrix_from_json(matrix_to_json(a)))
+        assert [m._factors for m in derived] == [None] * len(derived)
+        bare = _factor_free(a)
+        assert a == bare and bare == a
+        assert matrix_to_json(a) == matrix_to_json(bare)
+
+
+def _rref_calls(monkeypatch, make):
+    calls = []
+    original = rolcheck.matrices.rref
+
+    def counted(m):
+        calls.append(m.shape)
+        return original(m)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rolcheck.matrices, "rref", counted)
+        make()
+    return len(calls)
+
+
+def test_law_context_runs_rref_only_for_the_core_inverses(monkeypatch):
+    """On a generated pair, a+ and b+ come from the drawn factors: the only
+    rref calls are the two core inverses.  A factor-free copy of the pair
+    runs a RREF factorization of a and of b as well."""
+    ranks = set()
+    for seed in range(6):
+        a, b, _ = gen_instance(InstanceSpec(GAUSSIAN_RATIONAL, 6, seed=seed))
+        ranks |= {a._factors.rank, b._factors.rank}
+        assert _rref_calls(monkeypatch, lambda: LawContext(a, b)) == 2
+        bare = (_factor_free(a), _factor_free(b))
+        assert _rref_calls(monkeypatch, lambda: LawContext(*bare)) == 4
+    assert len(ranks) > 2
 
 
 def _written_out(a, x):
