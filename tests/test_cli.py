@@ -1,10 +1,17 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from rolcheck import GAUSSIAN_RATIONAL, Matrix, matrix_from_json, matrix_to_json
+from rolcheck import mp_exists, mp_inverse, prime_field
+from rolcheck.cli import main
+from rolcheck.harness import random_matrix_of_rank
+from rolcheck.matrices import random_matrix
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -87,6 +94,66 @@ def test_kcheck(tmp_path):
     result = run_cli(["kcheck", "--a", str(a), "--x", str(x), "--k", "1,2,3,4"])
     assert result.returncode == 0
     assert "True" in result.stdout
+
+
+KCHECK_KS = ({1}, {1, 3}, {1, 4}, {1, 2, 3}, {1, 2, 3, 4}, {2, 4})
+
+
+def _kcheck_pool():
+    """(a, x) pairs over Q(i) and F_5.  For each a with a Moore-Penrose
+    inverse: a+, a {1,3}-, {1,4}-, {1,2,3}- and {1}-inverse built from it,
+    zero and a random matrix.  The F_5 matrix with no a+ comes with a
+    random x."""
+    rng = random.Random(24)
+    pool = [(matrix_from_json(F5_NO_MP), random_matrix(prime_field(5), 2, 2, rng))]
+    for domain in (GAUSSIAN_RATIONAL, prime_field(5)):
+        for rows, cols, r in ((2, 2, 1), (3, 3, 2), (2, 3, 1), (3, 2, 2)):
+            a = next(a for a in (random_matrix_of_rank(domain, rows, cols, r, rng)
+                                 for _ in range(100)) if mp_exists(a))
+            ad = mp_inverse(a)
+            y = random_matrix(domain, cols, rows, rng)
+            z = random_matrix(domain, cols, rows, rng)
+            left = Matrix.identity(cols, domain) - ad @ a
+            right = Matrix.identity(rows, domain) - a @ ad
+            for x in (ad, ad + left @ y, ad + y @ right, ad + left @ y @ a @ ad,
+                      ad + left @ y + z @ right, Matrix.zeros(cols, rows, domain), y):
+                pool.append((a, x))
+    return pool
+
+
+def test_kcheck_flags_are_the_written_out_penrose_equations(tmp_path, capsys):
+    seen = set()
+    out = tmp_path / "out.json"
+    for n, (a, x) in enumerate(_kcheck_pool()):
+        ax, xa = a @ x, x @ a
+        eqs = {"eq1": ax @ a == a, "eq2": xa @ x == x,
+               "eq3": ax.star() == ax, "eq4": xa.star() == xa}
+        a_path, x_path = tmp_path / f"a{n}.json", tmp_path / f"x{n}.json"
+        write_matrix(a_path, matrix_to_json(a))
+        write_matrix(x_path, matrix_to_json(x))
+        for ks in KCHECK_KS:
+            k = ",".join(str(j) for j in sorted(ks))
+            code = main(["kcheck", "--a", str(a_path), "--x", str(x_path), "--k", k,
+                         "--json", str(out)])
+            member = all(eqs[f"eq{j}"] for j in ks)
+            assert code == 0
+            assert capsys.readouterr().out == (
+                f"member of a{{{k}}}: {member}\n"
+                + "  " + "  ".join(f"{e}={v}" for e, v in eqs.items()) + "\n")
+            expected = {"member": member, "k": sorted(ks), "penrose": eqs}
+            assert out.read_text() == json.dumps(expected, indent=2) + "\n"
+            seen.add((k, member))
+    assert len(seen) == 2 * len(KCHECK_KS), sorted(seen)
+
+
+@pytest.mark.parametrize("x_shape, k", [((2, 3), "1"), ((2, 2), "1,3"), ((3, 2), ""),
+                                        ((3, 2), "1,5")])
+def test_kcheck_malformed_input_exits_3(tmp_path, capsys, x_shape, k):
+    a_path, x_path = tmp_path / "a.json", tmp_path / "x.json"
+    write_matrix(a_path, matrix_to_json(Matrix.zeros(2, 3, GAUSSIAN_RATIONAL)))
+    write_matrix(x_path, matrix_to_json(Matrix.zeros(*x_shape, GAUSSIAN_RATIONAL)))
+    assert main(["kcheck", "--a", str(a_path), "--x", str(x_path), "--k", k]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_law_check_c27_lambda_two(tmp_path):
