@@ -42,15 +42,12 @@ from .matrices import (
 from .geninv import (
     commutes_with_pair,
     group_inverse,
+    is_k_inverse,
     is_mp_inverse,
     mp_exists,
     mp_inverse,
-    penrose_equations,
 )
-from .peirce import (
-    is_k_inverse,
-    sample_commutant,
-)
+from .peirce import sample_commutant
 from .laws import (
     EQUIVALENT,
     HYPOTHESIS_NOT_MET,

@@ -1,16 +1,18 @@
-"""Moore-Penrose and group inverses with exact existence detection.
+"""K-inverses, and Moore-Penrose and group inverses with exact existence
+detection.
 
 The Moore-Penrose inverse of a is the unique b satisfying the four
 Penrose equations
 
-    (1) a = aba    (2) b = bab    (3) (ab)* = ab    (4) (ba)* = ba.
+    (1) a = aba    (2) b = bab    (3) (ab)* = ab    (4) (ba)* = ba,
 
-That uniqueness holds in any ring with involution, so b = a+ is decided
-by testing the four equations on b (`is_mp_inverse`), without forming
-a+.  `penrose_holds` tests the equations K names, one product at a
-time, and stops at the first that fails; `peirce.is_k_inverse` runs on
-it too.  `penrose_equations` evaluates each requested equation, for a
-report that shows all of them.
+and a K-inverse of a is a b satisfying the equations K names.
+`is_k_inverse` is the only code that evaluates them: it tests the
+equations K names, one product at a time, and stops at the first that
+fails.  The laws' memberships, `rolcheck kcheck` (one equation per call)
+and `is_mp_inverse` all run on it.  The uniqueness holds in any ring
+with involution, so b = a+ is decided by testing the four equations on
+b, without forming a+.
 
 Existence and construction share one object.  For a full-rank
 factorization a = f g of rank r, MacDuffee's formula
@@ -33,7 +35,7 @@ exists iff rank(a^2) = rank(a).
 
 from __future__ import annotations
 
-from .errors import DimensionMismatch, NoMPInverse, NotGroupInvertible, Singular
+from .errors import DimensionMismatch, EmptyK, NoMPInverse, NotGroupInvertible, Singular
 from .matrices import Matrix, inverse, rank, rank_factorization
 
 
@@ -43,50 +45,38 @@ def _check_candidate(a: Matrix, b: Matrix) -> None:
     a._same_domain(b)
 
 
-def penrose_equations(a: Matrix, b: Matrix, ks) -> dict:
-    """Exact truth of Penrose equation (j) for each j in ks, in order.
-
-    Every requested equation is evaluated, for a report that shows each
-    one (`rolcheck kcheck`); `penrose_holds` decides their conjunction
-    and stops at the first that fails.  Forms only the products the
-    requested equations use: a b for (1) and (3), b a for (2) and (4)."""
-    _check_candidate(a, b)
-    ab = a @ b if 1 in ks or 3 in ks else None
-    ba = b @ a if 2 in ks or 4 in ks else None
-    equations = {
-        1: lambda: ab @ a == a,
-        2: lambda: ba @ b == b,
-        3: lambda: ab.is_hermitian(),
-        4: lambda: ba.is_hermitian(),
-    }
-    return {k: equations[k]() for k in sorted(ks)}
-
-
-def penrose_holds(a: Matrix, b: Matrix, ks) -> bool:
-    """Whether Penrose equation (j) holds for every j in ks.
+def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
+    """Membership of x in aK: x satisfies Penrose equation (j) for each j in K.
 
     The equations are tried in the order (3), (4), (1), (2), and the first
     that fails ends the test.  Each product is formed when an equation
-    first needs it: a b for (3), b a for (4), and (1) and (2) reuse them,
+    first needs it: a x for (3), x a for (4), and (1) and (2) reuse them,
     so a false membership forms only the products up to its first
-    failing equation."""
-    _check_candidate(a, b)
-    ab = ba = None
+    failing equation.  K = {} is rejected; a vacuous membership test
+    silently passing everything is a bug magnet for the set-inclusion
+    laws."""
+    ks = frozenset(k)
+    if not ks:
+        raise EmptyK("K must name at least one Penrose equation")
+    if not ks <= {1, 2, 3, 4}:
+        raise ValueError(f"K must be a subset of {{1, 2, 3, 4}}, got {sorted(ks)}")
+    _check_candidate(a, x)
+    ax = xa = None
     if 3 in ks:
-        ab = a @ b
-        if not ab.is_hermitian():
+        ax = a @ x
+        if not ax.is_hermitian():
             return False
     if 4 in ks:
-        ba = b @ a
-        if not ba.is_hermitian():
+        xa = x @ a
+        if not xa.is_hermitian():
             return False
     if 1 in ks:
-        ab = a @ b if ab is None else ab
-        if not ab @ a == a:
+        ax = a @ x if ax is None else ax
+        if not ax @ a == a:
             return False
     if 2 in ks:
-        ba = b @ a if ba is None else ba
-        return ba @ b == b
+        xa = x @ a if xa is None else xa
+        return xa @ x == x
     return True
 
 
@@ -98,7 +88,7 @@ def is_mp_inverse(a: Matrix, b: Matrix) -> bool:
     exactly when a+ exists and equals b; a+ itself is never formed.
     Where a has no Moore-Penrose inverse (over a prime field), no b
     satisfies them, and the answer is False."""
-    return penrose_holds(a, b, (1, 2, 3, 4))
+    return is_k_inverse(a, b, (1, 2, 3, 4))
 
 
 def _macduffee(a: Matrix):

@@ -33,6 +33,13 @@ MAX_SIZE = 8
 _SEED_STRIDE = 1_000_003
 
 
+def _require_int(name, value):
+    # bool is an int subclass; a float or a str would fail only later,
+    # with a TypeError from a draw or a range().
+    if type(value) is not int:
+        raise InvalidSpec(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class InstanceSpec:
     """Parameters for one generated (a, b, c) triple."""
@@ -46,12 +53,16 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.size, int) or not 1 <= self.size <= MAX_SIZE:
+        _require_int("size", self.size)
+        _require_int("seed", self.seed)
+        if not 1 <= self.size <= MAX_SIZE:
             raise InvalidSpec(f"size must be in 1..{MAX_SIZE}, got {self.size}")
         for name in ("rank_a", "rank_b"):
             val = getattr(self, name)
-            if val is not None and not 0 <= val <= self.size:
-                raise InvalidSpec(f"{name} must be in 0..{self.size}, got {val}")
+            if val is not None:
+                _require_int(name, val)
+                if not 0 <= val <= self.size:
+                    raise InvalidSpec(f"{name} must be in 0..{self.size}, got {val}")
         if self.weight_mode not in ("identity", "scalar", "commutant"):
             raise InvalidSpec(f"unknown weight_mode {self.weight_mode!r}")
 
@@ -104,22 +115,21 @@ def _draw_pair(spec: InstanceSpec):
     return a, b, rng
 
 
-def _fixed_weight_scalar(spec: InstanceSpec, law: LawId | None):
+def _fixed_weight_scalar(spec: InstanceSpec, law: LawId):
     """The checks gen_instance makes on (spec, law), which no draw can
     change.  Returns the spec's weight scalar in its domain, or None when
     it is drawn per instance or the weight is not a scalar."""
-    side = LAWS[law].side if law is not None else "b"
-    if side == "scalar" and spec.weight_mode == "commutant":
+    if LAWS[law].side == "scalar" and spec.weight_mode == "commutant":
         raise InvalidSpec(f"{law} takes a scalar weight; use weight_mode scalar or identity")
     if spec.weight_mode == "scalar" and spec.weight_scalar is not None:
         return spec.domain.coerce(spec.weight_scalar)
     return None
 
 
-def gen_instance(spec: InstanceSpec, law: LawId | None = None, pair=None):
-    """Deterministic (a, b, c) triple for the spec (and target law, which
+def gen_instance(spec: InstanceSpec, law: LawId, pair=None):
+    """Deterministic (a, b, c) triple for the spec and target law, which
     fixes the side c must commute with and, for a four-way law, the
-    products of LawSpec.weight_zero that c - e must annihilate).
+    products of LawSpec.weight_zero that c - e must annihilate.
 
     The pair comes first and the weight last from one generator.  `pair`
     is the (a, b, generator) triple of _draw_pair(spec), for a caller
@@ -129,13 +139,13 @@ def gen_instance(spec: InstanceSpec, law: LawId | None = None, pair=None):
     a, b, rng = pair if pair is not None else _draw_pair(spec)
     n = spec.size
     mode = spec.weight_mode
-    side = LAWS[law].side if law is not None else "b"
+    side = LAWS[law].side
     if mode == "identity":
         c = Matrix.identity(n, spec.domain)
     elif mode == "scalar":
         lam = lam if lam is not None else _nonzero_scalar(spec.domain, rng)
         c = Matrix.identity(n, spec.domain).scale(lam)
-    elif law is not None and LAWS[law].weight_zero is not None:
+    elif LAWS[law].weight_zero is not None:
         c = sample_constrained(a if side == "a" else b, *LAWS[law].weight_zero(a @ b), rng)
     elif side in ("a", "b"):
         c = sample_commutant(a if side == "a" else b, rng.getrandbits(32))
@@ -240,6 +250,7 @@ def run_suite(law: LawId, spec: InstanceSpec, trials: int) -> SuiteResult:
     Instances whose context cannot be built (no Moore-Penrose inverse
     over a prime field) or which fail a law hypothesis are counted as
     hypothesis skips, never silently dropped."""
+    _require_int("trials", trials)
     if trials < 1:
         raise InvalidSpec("trials must be >= 1")
     start = time.perf_counter()
@@ -279,6 +290,7 @@ def search_counterexample(law: LawId, spec: InstanceSpec, budget: int, stmt: str
     an equivalence violation with check_equivalence at its default
     witness-draw budgets, which for the theorems should never be found.
     Returns a serialized witness dict or None."""
+    _require_int("budget", budget)
     if budget < 1:
         raise InvalidSpec("budget must be >= 1")
     if stmt is not None and stmt not in LAWS[law].statements:

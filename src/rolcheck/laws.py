@@ -58,9 +58,8 @@ from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import BlanketIdentityFailed, DimensionMismatch, HypothesisNotMet
-from .geninv import commutes_with_pair, is_mp_inverse, mp_exists, mp_inverse
+from .geninv import commutes_with_pair, is_k_inverse, is_mp_inverse, mp_exists, mp_inverse
 from .matrices import Matrix, matrix_to_json, random_matrix
-from .peirce import is_k_inverse
 from .wordpoly import WordMatrix, basis_points
 
 

@@ -1,12 +1,9 @@
-"""K-inverse membership and weight generation.
+"""Weight generation.
 
-A K-inverse of a satisfies the Penrose equations named by K; the
-{1,3}- and {1,4}-inverses the laws quantify over are parametrized in
-laws._k_inverses.  Weights commuting with a matrix and its star
-(sample_commutant), or also fixing the products a four-way law names
-(sample_constrained), are drawn from the kernel basis of the stacked
-linear system `matrix_equation_basis` builds.  A certificate with n
-unknowns first writes the weight as a polynomial in one cyclic element of
+Weights commuting with a matrix and its star (sample_commutant), or also
+fixing the products a four-way law names (sample_constrained), are drawn
+from the kernel basis of the stacked linear system
+`matrix_equation_basis` builds.  A certificate with n unknowns first writes the weight as a polynomial in one cyclic element of
 the algebra the commute matrices generate; its rank modulo one prime (in
 F_p, p itself) proves a generic kernel trivial (span(e), or {0} for the
 four-way weight), so the exact solve runs only when the kernel may be
@@ -22,26 +19,9 @@ from __future__ import annotations
 
 import random
 
-from .errors import DimensionMismatch, EmptyK
-from .geninv import penrose_holds
+from .errors import DimensionMismatch
 from .matrices import Matrix, nullspace_basis
 from .scalars import columns, matmul_columns_mod, matmul_mod, row_reduce_mod
-
-
-def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
-    """Membership of x in aK: x satisfies Penrose equation (j) for each j in K.
-
-    The equations run through `geninv.penrose_holds`, which forms one
-    product at a time and stops at the first equation that fails, so a
-    false membership forms only the products up to it.  K = {} is
-    rejected; a vacuous membership test silently passing everything is a
-    bug magnet for the set-inclusion laws."""
-    ks = frozenset(k)
-    if not ks:
-        raise EmptyK("K must name at least one Penrose equation")
-    if not ks <= {1, 2, 3, 4}:
-        raise ValueError(f"K must be a subset of {{1, 2, 3, 4}}, got {sorted(ks)}")
-    return penrose_holds(a, x, ks)
 
 
 def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) -> Matrix:

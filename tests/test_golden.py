@@ -115,8 +115,8 @@ WEIGHTS = (
     (LawId.T24, "commutant"),
     (LawId.T38, "commutant"),
     (LawId.T39, "commutant"),
-    (None, "identity"),
-    (None, "scalar"),
+    (LawId.T23, "identity"),
+    (LawId.T23, "scalar"),
 )
 
 GOLDEN = {

@@ -39,6 +39,24 @@ def test_spec_validation():
         InstanceSpec(domain=G, size=3, weight_mode="sideways")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("size", True), ("size", 3.0), ("rank_a", 1.5), ("rank_a", True), ("rank_b", "2"),
+    ("seed", "7"), ("seed", 1.0), ("seed", False),
+])
+def test_spec_rejects_non_integer_fields(field, value):
+    with pytest.raises(InvalidSpec, match=f"{field} must be an integer"):
+        InstanceSpec(**{"domain": G, "size": 3, field: value})
+
+
+@pytest.mark.parametrize("count", [True, 2.0, "3"])
+def test_suite_and_search_reject_non_integer_counts(count):
+    spec = InstanceSpec(domain=G, size=2, seed=1)
+    with pytest.raises(InvalidSpec, match="trials must be an integer"):
+        run_suite(LawId.T23, spec, count)
+    with pytest.raises(InvalidSpec, match="budget must be an integer"):
+        search_counterexample(LawId.T23, spec, count)
+
+
 def test_gen_instance_rank_targets():
     for k in range(3):
         spec = InstanceSpec(domain=G, size=2, rank_a=k, rank_b=2 - k, seed=50 + k)

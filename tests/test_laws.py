@@ -83,7 +83,7 @@ def test_q_and_r_inverses_are_the_blanket_products(domain):
         for seed in range(10):
             spec = InstanceSpec(domain=domain, size=size, seed=seed)
             try:
-                ctx = LawContext(*gen_instance(spec))
+                ctx = LawContext(*gen_instance(spec, LawId.T23))
             except NoMPInverse:
                 continue
             built += 1

@@ -1,15 +1,19 @@
 """The README's examples run as written.
 
 Its python block runs, every `--flag` it names (outside the table of
-removed names) is accepted by some rolcheck subcommand, and every
-`rolcheck ...` line of its CLI block parses.
+removed names) is accepted by some rolcheck subcommand, every
+`rolcheck ...` line of its CLI block parses, and the names its table of
+removed names lists are gone.
 """
 
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import rolcheck
 from rolcheck.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -53,3 +57,19 @@ def test_every_cli_example_parses():
     assert len(lines) >= 7
     for line in lines:
         build_parser().parse_args(shlex.split(line)[1:])
+
+
+def test_removed_names_are_gone():
+    # The first cell of each row that lists names (it begins with a
+    # backtick); a dotted name such as `LawContext.ab_dag` is an attribute,
+    # not a module-level name, and is left out.
+    table = re.search(r"^### Removed names\n(.*?)(?=^#)", README, re.S | re.M).group(1)
+    cells = re.findall(r"^\| (`[^|]*?) \|", table, re.M)
+    names = {name for cell in cells for name in re.findall(r"`([A-Za-z_]\w*)(?![\w.])", cell)}
+    assert "penrose_equations" in names
+    modules = [rolcheck] + [importlib.import_module(f"rolcheck.{m.name}")
+                            for m in pkgutil.iter_modules(rolcheck.__path__)
+                            if m.name != "__main__"]  # __main__ runs the CLI on import
+    for module in modules:
+        present = names & vars(module).keys()
+        assert not present, (module.__name__, sorted(present))

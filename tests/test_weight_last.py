@@ -155,7 +155,7 @@ def test_bad_weight_spec_is_rejected_before_the_first_trial():
 
 
 def test_gen_instance_takes_a_drawn_pair():
-    for law in (None, LawId.T23, LawId.C27, LawId.T38):
+    for law in (LawId.T23, LawId.C27, LawId.T38):
         for mode in ("identity", "scalar", "commutant"):
             if law == LawId.C27 and mode == "commutant":
                 continue
