@@ -19,6 +19,14 @@ is unique and equal matrices have equal forms.  Putting a form right
 costs one gcd over the whole matrix, not one per entry.  Over F_p the form is
 the entry values, ints in [0, p).  Scalars are built from a form only
 when an entry is read.
+
+F_p's products and row reductions, the weight certificate and the residue
+ranks run on two kernels over ints mod p, `matmul_mod` and
+`row_reduce_mod`.  Where every number they form fits in one byte, they run
+on packed bytes, so that CPython's big-int and bytes operations do the
+per-entry work in C: a product when k (p - 1)**2 < 256 for inner size k,
+a row reduction when p * p <= 256.  Every wider modulus, the Q(i) residue
+prime among them, runs the loops.  Both paths return the same ints.
 """
 
 from __future__ import annotations
@@ -587,12 +595,37 @@ class GaussianRationalDomain(ScalarDomain):
         return hash(self.name)
 
 
+@lru_cache(maxsize=None)
+def _mod_table(p):
+    """The 256-byte table that `bytes.translate` uses to send each byte v
+    to v % p."""
+    return bytes(v % p for v in range(256))
+
+
 def row_reduce_mod(rows, p):
     """Gauss-Jordan mod the prime p on equal-length rows of ints in [0, p),
     with first-nonzero pivots and one modular inverse per pivot.  Returns
     (reduced rows as lists, pivot columns as a tuple); the rows passed in
     are not changed.  F_p's `row_reduce` and the weight certificate in
-    peirce both run on it."""
+    peirce both run on it.
+
+    When p * p <= 256, that is p <= 13, `_row_reduce_bytes` holds each
+    row as a byte string, which read as a little-endian int is the sum of
+    its entries times 256**j.  The pivot row y becomes y * inv, at most
+    (p - 1)**2 in each byte.  Another row x with entry f in the pivot
+    column becomes x + f (P - y), with P = p in every byte: mod p that is
+    x - f y, and as y <= p - 1 each byte of P - y lies in [1, p], so none
+    borrows, and each byte of the sum is at most p - 1 + (p - 1) p =
+    p * p - 1, so none carries.  A table (`_mod_table`) then reduces every
+    byte.  Every wider modulus runs `_row_reduce_loop`.  Both give the
+    same rows and pivots."""
+    if p * p <= 256:
+        return _row_reduce_bytes(rows, p)
+    return _row_reduce_loop(rows, p)
+
+
+def _row_reduce_loop(rows, p):
+    """`row_reduce_mod` entry by entry, for any prime."""
     m = list(rows)
     ncols = len(m[0]) if m else 0
     pivots = []
@@ -614,6 +647,33 @@ def row_reduce_mod(rows, p):
     return m, tuple(pivots)
 
 
+def _row_reduce_bytes(rows, p):
+    """`row_reduce_mod` on rows held as byte strings, for p * p <= 256."""
+    m = [bytes(row) for row in rows]
+    ncols = len(m[0]) if m else 0
+    table = _mod_table(p)
+    full = int.from_bytes(bytes((p,)) * ncols, "little")
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        k = next((k for k in range(r, len(m)) if m[k][c]), None)
+        if k is None:
+            continue
+        m[r], m[k] = m[k], m[r]
+        scaled = int.from_bytes(m[r], "little") * pow(m[r][c], -1, p)
+        y = m[r] = scaled.to_bytes(ncols, "little").translate(table)
+        negated = full - int.from_bytes(y, "little")
+        for i, x in enumerate(m):
+            f = x[c]
+            if f and i != r:
+                m[i] = (int.from_bytes(x, "little") + f * negated).to_bytes(
+                    ncols, "little").translate(table)
+        pivots.append(c)
+        if len(pivots) == len(m):
+            break
+    return [list(row) for row in m], tuple(pivots)
+
+
 def columns(b, m):
     """The m columns of the matrix whose row-major entries are b, as the
     right operand of `matmul_columns_mod`."""
@@ -631,10 +691,34 @@ def matmul_columns_mod(a, cols, n, k, p):
 
 def matmul_mod(a, b, n, k, m, p):
     """Row-major ints in [0, p) of the n x m product of the n x k and k x m
-    matrices of ints whose row-major entries are a and b:
-    `matmul_columns_mod` on the columns of b.  F_p's `matmul` and the
-    weight certificate in peirce both run on it."""
+    matrices of ints whose row-major entries are a and b.  F_p's `matmul`
+    and the weight certificate in peirce both run on it.
+
+    When n, k, m > 0 and k (p - 1)**2 < 256, `_matmul_bytes` forms every
+    entry in one integer product (Kronecker substitution).  With w = 2k - 1
+    bytes per entry, row i of a is laid out in order from byte i m w, and
+    column j of b reversed from byte j w.  In the product of the two, as
+    little-endian ints, a[i, t] b[t', j] lands in byte (i m + j) w + d with
+    d = k - 1 + t - t' in [0, w); as j < m, each byte has one (i, j, d),
+    so byte (k - 1) + (i m + j) w, where t = t', is the sum over t of
+    a[i, t] b[t, j].  No byte holds more than k products of two ints in
+    [0, p), at most k (p - 1)**2 < 256, so none carries into the next; one
+    strided slice reads the n m entries, and `_mod_table` reduces them.
+    Otherwise the product is `matmul_columns_mod` on the columns of b."""
+    if n and k and m and k * (p - 1) ** 2 < 256:
+        return _matmul_bytes(a, b, n, k, m, p)
     return matmul_columns_mod(a, columns(b, m), n, k, p)
+
+
+def _matmul_bytes(a, b, n, k, m, p):
+    """`matmul_mod` on packed bytes, for n, k, m > 0 and k (p - 1)**2 < 256."""
+    w = 2 * k - 1
+    rows = bytes(a)
+    x = bytes(m * w - k).join([rows[i : i + k] for i in range(0, n * k, k)])
+    flipped = bytes(b[::-1])  # column m - 1 - j of b, reversed, is flipped[j::m]
+    y = bytes(k - 1).join([flipped[j::m] for j in range(m - 1, -1, -1)])
+    product = int.from_bytes(x, "little") * int.from_bytes(y, "little")
+    return list(product.to_bytes(n * m * w, "little")[k - 1 :: w].translate(_mod_table(p)))
 
 
 class PrimeFieldDomain(ScalarDomain):

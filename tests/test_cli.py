@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import random
@@ -21,6 +22,15 @@ def run_cli(args, **kw):
     env["PYTHONPATH"] = str(REPO / "src")
     cmd = [sys.executable, "-m", "rolcheck", *args]
     return subprocess.run(cmd, capture_output=True, text=True, env=env, **kw)
+
+
+def test_importing_main_module_runs_nothing(monkeypatch, capsys):
+    """Only `python -m rolcheck` runs the CLI; importing rolcheck.__main__,
+    as a walk over every module does, neither exits nor prints."""
+    monkeypatch.delitem(sys.modules, "rolcheck.__main__", raising=False)
+    module = importlib.import_module("rolcheck.__main__")
+    assert module.main is main
+    assert capsys.readouterr() == ("", "")
 
 
 def write_matrix(path, obj):

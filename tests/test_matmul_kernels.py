@@ -26,7 +26,10 @@ from rolcheck.matrices import random_matrix
 from matmul_reference import matmul as reference_matmul
 
 G = GAUSSIAN_RATIONAL
-DOMAINS = (G, prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
+# F_13 packs its products only at k = 1; F_17 and the Q(i) residue prime
+# never do.
+DOMAINS = (G, prime_field(5), prime_field(7), prime_field(13), prime_field(17),
+           prime_field(rolcheck.scalars._P))
 
 
 def _scalars(domain):
@@ -86,6 +89,21 @@ def test_mp_inverse_products_have_large_denominators():
     assert max(z.den for z in ap.entries).bit_length() > 60
     assert ap @ a == reference_matmul(ap, a)
     assert ap.star() @ ap == reference_matmul(ap.star(), ap)
+
+
+@pytest.mark.parametrize("p, k", [(3, 63), (3, 64), (5, 15), (5, 16), (7, 7), (7, 8)])
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1), (3, 3)])
+def test_products_at_the_packing_bound(p, k, n, m):
+    """matmul_mod packs when k (p - 1)**2 < 256.  With every entry p - 1,
+    each entry of the product is that largest slot sum: 252, 240 and 252
+    on the packed side, 256, 256 and 288 on the loop side."""
+    domain = prime_field(p)
+    top = domain.coerce(p - 1)
+    a = Matrix(n, k, domain, [top] * (n * k))
+    b = Matrix(k, m, domain, [top] * (k * m))
+    product = a @ b
+    assert product == reference_matmul(a, b)
+    assert product == Matrix(n, m, domain, [domain.coerce(k)] * (n * m))
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)

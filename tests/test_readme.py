@@ -68,8 +68,7 @@ def test_removed_names_are_gone():
     names = {name for cell in cells for name in re.findall(r"`([A-Za-z_]\w*)(?![\w.])", cell)}
     assert "penrose_equations" in names
     modules = [rolcheck] + [importlib.import_module(f"rolcheck.{m.name}")
-                            for m in pkgutil.iter_modules(rolcheck.__path__)
-                            if m.name != "__main__"]  # __main__ runs the CLI on import
+                            for m in pkgutil.iter_modules(rolcheck.__path__)]
     for module in modules:
         present = names & vars(module).keys()
         assert not present, (module.__name__, sorted(present))

@@ -22,7 +22,10 @@ from rolcheck.peirce import _equation_system
 from rref_reference import rref as reference_rref
 
 G = GAUSSIAN_RATIONAL
-DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7), prime_field(rolcheck.scalars._P))
+# F_13 is the widest field whose rows row_reduce_mod packs; F_17 and the
+# Q(i) residue prime run its loop.
+DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7), prime_field(13),
+           prime_field(17), prime_field(rolcheck.scalars._P))
 
 
 def _scalars(domain):
@@ -76,6 +79,31 @@ def test_rref_edge_cases(a):
     reduced, pivots = rref(a)
     assert (reduced, pivots) == reference_rref(a)
     assert reduced.shape == a.shape
+
+
+def _top_slot_systems(p):
+    """Systems that push row_reduce_mod's packed slots to their bounds.
+    Scaling a pivot p - 1 by its inverse p - 1 makes (p - 1)**2 in every
+    slot where the row holds p - 1.  Clearing f = p - 1 from a row x with
+    x = p - 1 where the pivot row y is 0 makes x + f (P - y) = p * p - 1."""
+    t = p - 1
+    return [
+        [[1, 0, 0, 0], [t, t, t, 0], [t, 0, t, t], [t, t, t, t]],
+        [[t, t, t], [t, t, t]],
+        [[t, 0, t, 0], [t, t, 0, 0], [0, t, t, t]],
+        [[0, 1, 0], [t, t, t], [t, 0, t]],
+    ]
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_rref_at_the_packing_bound(p):
+    """row_reduce_mod packs rows when p * p <= 256: F_13 is the last field
+    that does, F_17 the first that runs the loop."""
+    domain = prime_field(p)
+    for rows in _top_slot_systems(p):
+        a = Matrix(len(rows), len(rows[0]), domain,
+                   [domain.coerce(v) for row in rows for v in row])
+        assert rref(a) == reference_rref(a)
 
 
 @settings(max_examples=30, deadline=None)
