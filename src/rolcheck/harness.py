@@ -65,6 +65,8 @@ class InstanceSpec:
                     raise InvalidSpec(f"{name} must be in 0..{self.size}, got {val}")
         if self.weight_mode not in ("identity", "scalar", "commutant"):
             raise InvalidSpec(f"unknown weight_mode {self.weight_mode!r}")
+        if self.weight_scalar is not None and self.weight_mode != "scalar":
+            raise InvalidSpec(f"weight_scalar needs weight_mode scalar, got {self.weight_mode!r}")
 
 
 def random_matrix_of_rank(domain, rows, cols, target_rank, rng) -> Matrix:

@@ -3,15 +3,14 @@
 Weights commuting with a matrix and its star (sample_commutant), or also
 fixing the products a four-way law names (sample_constrained), are drawn
 from the kernel basis of the stacked linear system
-`matrix_equation_basis` builds.  A certificate with n unknowns first writes the weight as a polynomial in one cyclic element of
-the algebra the commute matrices generate; its rank modulo one prime (in
-F_p, p itself) proves a generic kernel trivial (span(e), or {0} for the
-four-way weight), so the exact solve runs only when the kernel may be
-larger.  That rank is taken first on row 0 of each n x n block of the
-system, n rows of blocks * n ints: a column subset, so its rank never
-exceeds the whole system's, and reaching the bound there proves the whole
-rank reaches it.  The whole system is reduced only when row 0 falls
-short.  Its ranks and products mod the prime run on F_p's own kernels,
+`matrix_equation_basis` builds.  A certificate with n unknowns first
+writes the weight as a polynomial in one cyclic element H of the algebra
+the commute matrices generate.  Its rank modulo one prime (in F_p, p
+itself), taken on row 0 of each n x n block of that system, proves a
+generic kernel trivial (span(e), or {0} for the four-way weight), so the
+exact solve runs only when the kernel may be larger.  The powers e1' H^k
+that build those rows also pick H among a few fixed candidates.  Its
+ranks and products mod the prime run on F_p's own kernels,
 `scalars.row_reduce_mod` and `scalars.matmul_mod`.
 """
 
@@ -54,52 +53,29 @@ def _equation_system(n, domain, commute_with=(), left_zero=(), right_zero=()) ->
 _CANDIDATES = ((1, 1), (2, 1), (1, 3), (3, 2))
 
 
-def _cyclic_element(commute, n, q):
-    """H = m + lambda m' + mu m m' mod q, with m and m' the first and the
-    last commute image, for the first (lambda, mu) in _CANDIDATES whose
-    Krylov matrix [e1, H e1, ..., H^(n-1) e1] has rank n mod q, or None
-    when none has."""
-    first, last = commute[0], commute[-1]
-    product = matmul_mod(first, last, n, n, n, q)
-    for lam, mu in _CANDIDATES:
-        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
-        krylov = [[1] + [0] * (n - 1)]
-        for _ in range(n - 1):
-            krylov.append(matmul_mod(h, krylov[-1], n, n, 1, q))
-        if len(row_reduce_mod(krylov, q)[1]) == n:
-            return h
-    return None
+def _system_rows(powers, h_cols, commute, lefts, rights, n, q):
+    """Row 0 of each n x n block of the certificate's system in x.  Row k
+    holds row 0 of H^k m - m H^k for each commute image m, of l H^k for
+    each l in lefts and of H^k r for each r in rights.
 
-
-def _system_rows(h, commute, lefts, rights, n, kept, q):
-    """The n rows of the certificate's system in x, cut to the first `kept`
-    rows of each n x n block.  Row k holds those rows of H^k m - m H^k for
-    each commute image m, of l H^k for each l in lefts and of H^k r for
-    each r in rights, each row-major; kept = n gives the whole system.
-
-    Row i of H^k m - m H^k is (e_i' H^k) m - (row i of m) H^k, so the kept
-    rows of H^k, of each m H^k and of each l H^k are carried from k to
-    k + 1 by one kept x n by n x n product with H each.  The columns of H,
-    of each m and of each r are sliced once, for all n steps."""
-    size = kept * n
-    power = [int(i == j) for i in range(kept) for j in range(n)]
-    carried = [power] + [m[:size] for m in commute] + [l[:size] for l in lefts]
-    h_cols = columns(h, n)
+    powers[k] is e1' H^k, and h_cols the `columns` of H.  Row 0 of
+    H^k m - m H^k is (e1' H^k) m - (row 0 of m) H^k, so row 0 of each
+    m H^k and each l H^k is carried from k to k + 1 by one 1 x n by n x n
+    product with H.  The columns of each m and each r are sliced once."""
+    carried = [m[:n] for m in commute] + [l[:n] for l in lefts]
     commute_cols = [columns(m, n) for m in commute]
     right_cols = [columns(r, n) for r in rights]
     rows = []
-    for k in range(n):
+    for k, power in enumerate(powers):
         if k:
-            carried = [matmul_columns_mod(x, h_cols, kept, n, q) for x in carried]
-        power, *moved = carried
+            carried = [matmul_columns_mod(x, h_cols, 1, n, q) for x in carried]
         row = []
-        for m_cols, mh in zip(commute_cols, moved):
-            row += [(u - v) % q
-                    for u, v in zip(matmul_columns_mod(power, m_cols, kept, n, q), mh)]
-        for lh in moved[len(commute):]:
+        for m_cols, mh in zip(commute_cols, carried):
+            row += [(u - v) % q for u, v in zip(matmul_columns_mod(power, m_cols, 1, n, q), mh)]
+        for lh in carried[len(commute):]:
             row += lh
         for r_cols in right_cols:
-            row += matmul_columns_mod(power, r_cols, kept, n, q)
+            row += matmul_columns_mod(power, r_cols, 1, n, q)
         rows.append(row)
     return rows
 
@@ -110,52 +86,51 @@ def _cyclic_certificate(n, domain, commute_with, left_zero, right_zero, stop) ->
 
     Each given matrix m goes to F_q once, from its form, through
     `domain.residues`, which gives the image of D m for D the common
-    denominator of m; D m has the same solutions as m.  `_cyclic_element`
-    picks H, a cyclic element mod q of the algebra the commute matrices
-    generate; without one, or without commute matrices, the certificate
-    declines.  Writing c = sum x_k H^k, row k of the system in x is
-    vec(H^k m - m H^k) for each commute matrix, then vec(l H^k) for each l
-    in left_zero and vec(H^k r) for each r in right_zero.  These n rows
-    are the transpose of the n-column system, so their rank mod q is its
-    rank; the certificate fires when it reaches `stop`.  The rank is taken
-    first on row 0 of every block (`_system_rows` with kept = 1: n rows of
-    blocks * n ints), and on all n rows of each block only when that falls
-    short.  Each rank is the pivot count of `row_reduce_mod`, and each
-    product is `matmul_mod`, the kernels of F_p's row_reduce and matmul."""
-    # Why a full rank is enough.  H is the image of an element of the
-    # algebra the commute matrices generate over the domain, so every
-    # solution c commutes with it.  A nonzero minor mod q lifts to a nonzero
-    # minor over Z[i] (over F_p it is one), because `residues` is a ring
-    # map, so the rank over the domain also reaches stop: the only x in the
-    # kernel are the known ones (x = e1 for span(e), none for {0}).  Then
-    # e, H, ..., H^(n-1) are linearly independent, since a dependency
-    # sum x_k H^k = 0 would be one more kernel vector.  So H is
-    # nonderogatory over the domain, and its commutant, which holds every
-    # solution, is span(e, H, ..., H^(n-1)) (Horn & Johnson, Matrix
-    # Analysis, 3.2.4).  Every solution is thus sum x_k H^k with x in the
-    # kernel, and lies in the known span.  The Krylov test only ends the
-    # search early, so that the first cyclic candidate is final; soundness
-    # does not rest on it.
-    #
-    # Why row 0 of each block is enough once its rank reaches stop.  That
-    # system is a column subset of the whole one, and dropping columns never
-    # raises a rank, so the whole rank reaches stop too.  Neither passes
-    # stop: the whole system has n rows, and without zero blocks its row
-    # k = 0 (H^0 = e) is zero.  So the certificate fires exactly where the
-    # whole system's rank reaches stop, and the whole system is reduced
-    # only when the one-row rank falls short of it.
+    denominator of m; D m has the same solutions as m.  For each (lambda,
+    mu) in _CANDIDATES in turn, H = m + lambda m' + mu m m' mod q, with m
+    and m' the first and the last commute image, and its powers
+    e1' H^k, k < n, are carried by one vector-matrix product each.  The
+    first H whose n powers have rank n mod q is final: writing
+    c = sum x_k H^k, row 0 of each n x n block of the system in x is
+    built from those same powers (`_system_rows`), n rows of blocks * n
+    ints, and the certificate fires when their rank reaches `stop`.
+    Without such an H, or without commute matrices, it declines.  Each
+    rank is the pivot count of `row_reduce_mod`, F_p's row_reduce kernel."""
+    # Why a full rank is enough.  Row k of the whole system in x is
+    # vec(H^k m - m H^k) for each commute matrix, then vec(l H^k) and
+    # vec(H^k r) for the zero blocks: the transpose of its n-column
+    # system.  The rows built here are a column subset of those, and
+    # dropping columns never raises a rank, so when theirs reaches stop
+    # the whole rank does too; the known kernel keeps both from passing
+    # it.  H is the image of an element of the algebra the commute
+    # matrices generate over the domain, so every solution c commutes
+    # with it.  A nonzero minor mod q lifts to a nonzero minor over Z[i]
+    # (over F_p it is one), because `residues` is a ring map, so the rank
+    # over the domain also reaches stop: the only x in the kernel are the
+    # known ones (x = e1 for span(e), none for {0}).  Then e, H, ...,
+    # H^(n-1) are linearly independent, since a dependency sum x_k H^k = 0
+    # would be one more kernel vector.  So H is nonderogatory over the
+    # domain, and its commutant, which holds every solution, is
+    # span(e, H, ..., H^(n-1)) (Horn & Johnson, Matrix Analysis, 3.2.4).
+    # Every solution is thus sum x_k H^k with x in the kernel, and lies in
+    # the known span.  The rank of the powers only picks the candidate;
+    # soundness does not rest on it.
     if not commute_with:
         return False
     commute, q = domain.residues([m.form for m in commute_with])
-    h = _cyclic_element(commute, n, q)
-    if h is None:
-        return False
-    lefts = domain.residues([l.form for l in left_zero])[0]
-    rights = domain.residues([r.form for r in right_zero])[0]
-    for kept in sorted({1, n}):
-        rows = _system_rows(h, commute, lefts, rights, n, kept, q)
-        if len(row_reduce_mod(rows, q)[1]) == stop:
-            return True
+    first, last = commute[0], commute[-1]
+    product = matmul_mod(first, last, n, n, n, q)
+    for lam, mu in _CANDIDATES:
+        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
+        h_cols = columns(h, n)
+        powers = [[1] + [0] * (n - 1)]
+        for _ in range(n - 1):
+            powers.append(matmul_columns_mod(powers[-1], h_cols, 1, n, q))
+        if len(row_reduce_mod(powers, q)[1]) == n:
+            lefts = domain.residues([l.form for l in left_zero])[0]
+            rights = domain.residues([r.form for r in right_zero])[0]
+            rows = _system_rows(powers, h_cols, commute, lefts, rights, n, q)
+            return len(row_reduce_mod(rows, q)[1]) == stop
     return False
 
 

@@ -626,7 +626,7 @@ def row_reduce_mod(rows, p):
 
 def _row_reduce_loop(rows, p):
     """`row_reduce_mod` entry by entry, for any prime."""
-    m = list(rows)
+    m = [list(row) for row in rows]
     ncols = len(m[0]) if m else 0
     pivots = []
     for c in range(ncols):

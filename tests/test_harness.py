@@ -39,6 +39,12 @@ def test_spec_validation():
         InstanceSpec(domain=G, size=3, weight_mode="sideways")
 
 
+@pytest.mark.parametrize("mode", ["identity", "commutant"])
+def test_spec_rejects_a_weight_scalar_its_mode_ignores(mode):
+    with pytest.raises(InvalidSpec, match="weight_scalar needs weight_mode scalar"):
+        InstanceSpec(domain=G, size=3, weight_mode=mode, weight_scalar=2)
+
+
 @pytest.mark.parametrize("field, value", [
     ("size", True), ("size", 3.0), ("rank_a", 1.5), ("rank_a", True), ("rank_b", "2"),
     ("seed", "7"), ("seed", 1.0), ("seed", False),

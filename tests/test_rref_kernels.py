@@ -106,6 +106,20 @@ def test_rref_at_the_packing_bound(p):
         assert rref(a) == reference_rref(a)
 
 
+@pytest.mark.parametrize("p", [13, 17])
+def test_row_reduce_mod_returns_new_lists_on_both_paths(p):
+    """Rows no pivot step touches come back as new lists too, on the
+    packed path (p = 13) and on the loop (p = 17), and the rows passed in
+    are not changed."""
+    for rows in ([(0, 1), (0, 0)], [[0, 1], [0, 0]], [(0, 0, 2), (0, 1, 1), (0, 0, 0)]):
+        before = [tuple(row) for row in rows]
+        reduced, _ = rolcheck.scalars.row_reduce_mod(rows, p)
+        assert all(type(row) is list for row in reduced), (p, reduced)
+        assert not any(got is row for got in reduced for row in rows), p
+        assert [tuple(row) for row in rows] == before
+    assert rolcheck.scalars.row_reduce_mod([(0, 1), (0, 0)], p) == ([[0, 1], [0, 0]], (1,))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(DOMAINS), st.integers(1, 4), st.integers(0, 4), st.integers(0, 10_000))
 def test_rref_matches_reference_on_weight_systems(domain, n, rank_b, seed):

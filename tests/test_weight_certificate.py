@@ -5,23 +5,24 @@ matrix_equation_basis first writes the weight c as a polynomial in one
 cyclic element H of the algebra the commute matrices generate
 (`_cyclic_certificate`), and returns the known kernel (span(e) for the
 commutant, {0} for the four-way weight) when the rank modulo one prime of
-that n-column system (the pivot count of `scalars.row_reduce_mod`, F_p's
-elimination kernel, on the domain's `residues`) proves the kernel is no
-larger.  Here every certified and every declined system is
-compared with the exact path, nullspace_basis on the Kronecker system,
-over Q(i), F_3, F_5 and F_7, on random b and on reducible b whose
-commutant is larger than the scalars, where the certificate must decline.
-A planted certificate that always fires must fail the comparison, and a
-property test holds every firing against the exact kernel.
+row 0 of each block of that n-column system (the pivot count of
+`scalars.row_reduce_mod`, F_p's elimination kernel, on the domain's
+`residues`) proves the kernel is no larger.  Here every certified and
+every declined system is compared with the exact path, nullspace_basis on
+the Kronecker system, over Q(i), F_3, F_5 and F_7, on random b and on
+reducible b whose commutant is larger than the scalars, where the
+certificate must decline.  A planted certificate that always fires must
+fail the comparison, and a property test holds every firing against the
+exact kernel.
 
-The rank is taken first on row 0 of each block (`_system_rows` with
-kept = 1), and on the whole system only when that falls short.  A
-property test holds both against the whole system as the n x n loop
-built it before (`_whole_rows_reference`): the whole rows are that
-system, the one-row rows a column subset of it, and the certificate fires
-exactly where its rank reaches the bound.  Pinned systems over F_3 need
-the whole system, and a planted certificate that fires on a one-row rank
-one short of the bound must fail the comparisons.
+H is the first candidate whose rows e1' H^k, k < n, have rank n; the
+same rows build the system (`_system_rows`).  A property test holds that
+choice and those rows against an independent reference
+(`_reference_candidate`, `_whole_rows_reference`): H^k in full, and the
+whole system as the n x n loop built it, whose first n columns of each
+block the one-row rows must be, and whose rank must reach the bound
+wherever the certificate fires.  A planted certificate that fires on a
+one-row rank one short of the bound must fail the comparisons.
 """
 
 import random
@@ -38,13 +39,12 @@ from rolcheck.laws import LAWS
 from rolcheck.matrices import inverse, nullspace_basis, random_matrix, rank
 from rolcheck.peirce import (
     _cyclic_certificate,
-    _cyclic_element,
     _equation_system,
     _system_rows,
     matrix_equation_basis,
     sample_constrained,
 )
-from rolcheck.scalars import matmul_mod, row_reduce_mod
+from rolcheck.scalars import columns, matmul_mod, row_reduce_mod
 
 G = GAUSSIAN_RATIONAL
 P = rolcheck.scalars._P
@@ -126,12 +126,21 @@ def _cases(domain):
 CASES = {domain: list(_cases(domain)) for domain in DOMAINS}
 
 
+def _powers_reference(h, n, q):
+    """e, H, ..., H^(n-1) mod q in full, each row-major."""
+    power = [int(i == j) for i in range(n) for j in range(n)]
+    powers = []
+    for _ in range(n):
+        powers.append(power)
+        power = matmul_mod(power, h, n, n, n, q)
+    return powers
+
+
 def _whole_rows_reference(h, commute, lefts, rights, n, q):
     """The certificate's whole system as its loop built it before the
     one-row step: H^k in full, and every block an n x n product."""
-    power = [int(i == j) for i in range(n) for j in range(n)]
     rows = []
-    for _ in range(n):
+    for power in _powers_reference(h, n, q):
         row = []
         for m in commute:
             row += [(u - v) % q for u, v in zip(matmul_mod(power, m, n, n, n, q),
@@ -141,24 +150,37 @@ def _whole_rows_reference(h, commute, lefts, rights, n, q):
         for r in rights:
             row += matmul_mod(power, r, n, n, n, q)
         rows.append(row)
-        power = matmul_mod(power, h, n, n, n, q)
     return rows
 
 
+def _reference_candidate(commute, n, q):
+    """(H, [e1' H^k for k < n]) for the first H = m + lambda m' + mu m m'
+    of peirce._CANDIDATES whose n rows e1' H^k, read off the full powers,
+    have rank n mod q; None when no candidate's have."""
+    first, last = commute[0], commute[-1]
+    product = matmul_mod(first, last, n, n, n, q)
+    for lam, mu in rolcheck.peirce._CANDIDATES:
+        h = [(x + lam * y + mu * z) % q for x, y, z in zip(first, last, product)]
+        powers = [power[:n] for power in _powers_reference(h, n, q)]
+        if len(row_reduce_mod(powers, q)[1]) == n:
+            return h, powers
+    return None
+
+
 def _certificate_ranks(n, domain, commute_with, left_zero, right_zero):
-    """(one-row rank, whole rank) of the certificate's two systems, None
-    when no candidate is cyclic, after checking that the builder's whole
-    rows are the reference system and its one-row rows the first n
-    columns of each of its blocks."""
+    """(one-row rank, whole rank) of the certificate's system on the
+    reference candidate, None when there is none, after checking that the
+    builder's rows are the first n columns of each block of the whole
+    reference system."""
     commute, q = domain.residues([m.form for m in commute_with])
-    h = _cyclic_element(commute, n, q)
-    if h is None:
+    candidate = _reference_candidate(commute, n, q)
+    if candidate is None:
         return None
+    h, powers = candidate
     lefts = domain.residues([l.form for l in left_zero])[0]
     rights = domain.residues([r.form for r in right_zero])[0]
     whole = _whole_rows_reference(h, commute, lefts, rights, n, q)
-    assert _system_rows(h, commute, lefts, rights, n, n, q) == whole
-    one_row = _system_rows(h, commute, lefts, rights, n, 1, q)
+    one_row = _system_rows(powers, columns(h, n), commute, lefts, rights, n, q)
     assert one_row == [[v for t in range(0, len(row), n * n) for v in row[t : t + n]]
                        for row in whole]
     return tuple(len(row_reduce_mod(rows, q)[1]) for rows in (one_row, whole))
@@ -287,10 +309,10 @@ def test_every_firing_matches_the_exact_kernel(domain, n, kind, law, seed):
 def test_no_cyclic_candidate_declines_and_gives_the_exact_basis(domain):
     """For b of rank 1 at n >= 4, range(b) + range(b*) has dimension at most
     2 <= n - 2, and every candidate H = b + lambda b* + mu b b* maps into it.
-    So H kills a space of dimension >= 2 and has no cyclic vector: the
-    certificate reduces one n x n Krylov matrix per candidate, each of rank
-    below n, reduces no system, and the exact solve gives a basis larger
-    than [e]."""
+    So H kills a space of dimension >= 2 and is derogatory: the
+    certificate reduces the n x n matrix of the rows e1' H^k, k < n, once
+    per candidate, each of rank below n, reduces no system, and the exact
+    solve gives a basis larger than [e]."""
     rng = random.Random(4)
     for n in (4, 5):
         b = random_matrix_of_rank(domain, n, n, 1, rng)
@@ -386,7 +408,23 @@ def test_t38_t39_instances_equal_the_exact_path(law):
     assert [gen_instance(spec, law) for spec in specs] == exact
 
 
-# --- row 0 of each block first, the whole system on a shortfall -----------------
+# --- row 0 of each block against the whole system ------------------------------
+
+
+def _certificate_with_its_rows(n, domain, commute, left, right, stop):
+    """(whether the certificate fired, the (powers, H columns) it passed to
+    `_system_rows`, or None when it built no system)."""
+    built = []
+
+    def spy(powers, h_cols, *args):
+        built.append((powers, h_cols))
+        return _system_rows(powers, h_cols, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rolcheck.peirce, "_system_rows", spy)
+        fired = _cyclic_certificate(n, domain, commute, left, right, stop)
+    assert len(built) <= 1
+    return fired, (built[0] if built else None)
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
@@ -394,9 +432,11 @@ def test_t38_t39_instances_equal_the_exact_path(law):
 @given(st.integers(1, 6), st.sampled_from(("random", "random", "diag(b1, b1)")),
        st.sampled_from((None, LawId.T38, LawId.T39)), st.integers(0, 2**32))
 def test_one_row_certifies_only_where_the_whole_system_does(domain, n, kind, law, seed):
-    """The one-row rank never passes the whole rank, which never passes the
-    bound; the certificate fires exactly where the whole rank reaches it,
-    and the basis is the exact path's either way."""
+    """The certificate builds its one system on the reference candidate,
+    from that candidate's powers; the one-row rank never passes the whole
+    rank, which never passes the bound, and a firing means the one-row
+    rank, and so the whole rank, reached it.  The basis is the exact
+    path's either way."""
     rng = random.Random(seed)
     if kind == "random":
         b = random_matrix_of_rank(domain, n, n, rng.randint(0, n), rng)
@@ -410,28 +450,35 @@ def test_one_row_certifies_only_where_the_whole_system_does(domain, n, kind, law
     stop = n if left or right else n - 1
     commute = (b, b.star())
     ranks = _certificate_ranks(n, domain, commute, left, right)
-    fired = _cyclic_certificate(n, domain, commute, left, right, stop)
+    fired, built = _certificate_with_its_rows(n, domain, commute, left, right, stop)
+    images, q = domain.residues([m.form for m in commute])
+    candidate = _reference_candidate(images, n, q)
     if ranks is None:
-        assert not fired
+        assert not fired and built is None and candidate is None
     else:
+        h, powers = candidate
+        assert built == (powers, columns(h, n))
         one_row, whole = ranks
         assert one_row <= whole <= stop
-        assert fired == (whole == stop)
+        assert fired == (one_row == stop)
+        assert not fired or whole == stop
     basis = matrix_equation_basis(n, domain, commute, left, right)
     assert basis == _exact_basis(n, domain, commute, left, right)
 
 
 F3 = prime_field(3)
-# Pairs over F_3 (b, and a for a T38 weight) whose one-row rank falls one
-# short of the bound while the whole system reaches it.
-FALLBACKS = [
+# Pairs over F_3 (b, and a for a T38 weight) whose kernel is the known one
+# although the certificate proves less: no candidate's rows e1' H^k are
+# independent for the first, and the one-row rank of the second falls one
+# short of the bound that its whole system reaches.
+SHORT_OF_THE_WHOLE_SYSTEM = [
     ([[2, 0, 0], [2, 1, 1], [1, 0, 1]], None),
     ([[0, 0, 2], [0, 0, 2], [0, 0, 0]], [[0, 0, 1], [1, 0, 2], [0, 0, 1]]),
 ]
 
 
-@pytest.mark.parametrize("b_rows, a_rows", FALLBACKS)
-def test_a_short_one_row_rank_falls_back_to_the_whole_system(b_rows, a_rows):
+@pytest.mark.parametrize("b_rows, a_rows", SHORT_OF_THE_WHOLE_SYSTEM)
+def test_these_f3_pairs_give_the_exact_basis(b_rows, a_rows):
     b = Matrix.from_rows(b_rows, F3)
     left = right = ()
     if a_rows is not None:
@@ -439,18 +486,10 @@ def test_a_short_one_row_rank_falls_back_to_the_whole_system(b_rows, a_rows):
     n, commute = b.rows, (b, b.star())
     known = [] if left or right else [Matrix.identity(n, F3)]
     stop = n - len(known)
-    assert _certificate_ranks(n, F3, commute, left, right) == (stop - 1, stop)
-    kept = []
-
-    def spy(*args):
-        kept.append(args[5])
-        return _system_rows(*args)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rolcheck.peirce, "_system_rows", spy)
-        assert _cyclic_certificate(n, F3, commute, left, right, stop)
-        assert matrix_equation_basis(n, F3, commute, left, right) == known
-    assert kept == [1, n, 1, n]
+    ranks = _certificate_ranks(n, F3, commute, left, right)
+    fired, _ = _certificate_with_its_rows(n, F3, commute, left, right, stop)
+    assert fired == (ranks is not None and ranks[0] == stop)
+    assert matrix_equation_basis(n, F3, commute, left, right) == known
     assert _exact_basis(n, F3, commute, left, right) == known
 
 
@@ -464,3 +503,28 @@ def test_one_short_mutant_fails_the_comparisons():
     outcomes = [out for domain in DOMAINS
                 for out in _four_way_outcomes(_four_way_pairs(domain), _one_short_mutant)]
     assert any(c != exact for _, c, exact in outcomes)
+
+
+# --- how often the certificate spares the exact solve ----------------------------
+
+
+def test_certified_counts_on_benchmark_shaped_weights():
+    """The certificate's firings on fixed draws shaped like the benchmark's
+    weight workloads: T23's commutant over Q(i) at n = 6 with b of rank 4,
+    and T38's four-way weight over F_7 at n = 6 with a and b of rank 4.
+    Every decline runs the exact solve, so a change that certifies fewer
+    of these gives the same bases and is slower; these counts catch it.
+    T38 draws 5 and 127 have a four-way kernel of dimension 1, so no sound
+    certificate fires on them."""
+    rng = random.Random(23)
+    t23 = [random_matrix_of_rank(G, 6, 6, 4, rng) for _ in range(300)]
+    assert sum(_cyclic_certificate(6, G, (b, b.star()), (), (), 5) for b in t23) == 300
+    f7, rng = prime_field(7), random.Random(1)
+    t38 = []
+    for _ in range(300):
+        a = random_matrix_of_rank(f7, 6, 6, 4, rng)
+        b = random_matrix_of_rank(f7, 6, 6, 4, rng)
+        t38.append((a, *LAWS[LawId.T38].weight_zero(a @ b)))
+    fired = [_cyclic_certificate(6, f7, (a, a.star()), left, right, 6)
+             for a, left, right in t38]
+    assert [k for k, ok in enumerate(fired) if not ok] == [5, 127]
