@@ -36,7 +36,7 @@ exists iff rank(a^2) = rank(a).
 from __future__ import annotations
 
 from .errors import DimensionMismatch, EmptyK, NoMPInverse, NotGroupInvertible, Singular
-from .matrices import Matrix, inverse, rank, rank_factorization
+from .matrices import Matrix, Pending, inverse, rank, rank_factorization
 
 
 def _check_candidate(a: Matrix, b: Matrix) -> None:
@@ -52,9 +52,13 @@ def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
     that fails ends the test.  Each product is formed when an equation
     first needs it: a x for (3), x a for (4), and (1) and (2) reuse them,
     so a false membership forms only the products up to its first
-    failing equation.  K = {} is rejected; a vacuous membership test
-    silently passing everything is a bug magnet for the set-inclusion
-    laws."""
+    failing equation.  A matrices.Pending operand, as the laws' statement
+    evaluators pass, is formed on entry and the equations run on matrices
+    as written; wordpoly.WordMatrix operands pass through unchanged.
+    K = {} is rejected; a vacuous membership test silently passing
+    everything is a bug magnet for the set-inclusion laws."""
+    a = a.value() if isinstance(a, Pending) else a
+    x = x.value() if isinstance(x, Pending) else x
     ks = frozenset(k)
     if not ks:
         raise EmptyK("K must name at least one Penrose equation")

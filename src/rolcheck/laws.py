@@ -13,9 +13,19 @@ Statement formulas are transcribed symbol for symbol, with no algebraic
 simplification, so a transcription slip shows up as an equivalence
 violation in the randomized suites.  A statement (i) that says m+ = z is
 decided by is_mp_inverse(m, z), the four Penrose equations on z: m+ is
-their unique solution, so m+ itself is never formed.  A statement of two
-parts joined by `and` forms the second part's products only when the
-first part holds.
+their unique solution, so m+ itself is never formed.
+
+The exact statements run on a deferred view of the context
+(LawContext.deferred), whose matrices are matrices.Pending leaves: `@`,
+`+` and `-` there only record the expression as written.  `==` and
+`is_zero()` first multiply both sides into one probe vector, right to
+left, with matrix-vector products; images that differ refute the part
+exactly, with no n x n product formed.  Images that agree decide
+nothing, and the part is then formed in its written order and compared
+exactly, so every value is the one the written formula gives.  A
+statement of two parts joined by `and` forms nothing of the second part
+when the first is false.  Hypotheses, the blanket identities and the set
+inclusions run on the context itself.
 
 Law identifiers and their statement (i):
 
@@ -54,12 +64,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 from .errors import BlanketIdentityFailed, DimensionMismatch, HypothesisNotMet
 from .geninv import commutes_with_pair, is_k_inverse, is_mp_inverse, mp_exists, mp_inverse
-from .matrices import Matrix, matrix_to_json, random_matrix
+from .matrices import Matrix, Pending, matrix_to_json, random_matrix
 from .wordpoly import WordMatrix, basis_points
 
 
@@ -150,6 +160,16 @@ class LawContext:
         _check_instance(self.a, self.b, c)
         self.c = c
 
+    def deferred(self) -> _Deferred:
+        """A view of this context for the exact statement evaluators.
+
+        Each matrix attribute reads as a matrices.Pending leaf, built when
+        first read and kept, so that products are formed only where the
+        probe vector cannot refute a statement part; the leaves share the
+        probe (1, 2, ..., n)^T.  Other attributes pass through, and a
+        missing one (c before set_weight) raises the same AttributeError."""
+        return _Deferred(self)
+
     @cached_property
     def c_star(self) -> Matrix:
         return self.c.star()
@@ -194,6 +214,36 @@ class LawContext:
     @cached_property
     def comp14_b(self) -> Matrix:
         return self.e - self.p
+
+
+@lru_cache(maxsize=32)
+def _probe(n: int, domain) -> Matrix:
+    """(1, 2, ..., n)^T in the domain, the probe vector of every deferred
+    view of size n; matrices are immutable, so the views share it."""
+    return Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
+
+
+class _Deferred:
+    """LawContext.deferred: the context's matrices as Pending leaves."""
+
+    def __init__(self, ctx: LawContext):
+        self._ctx = ctx
+        self._probe = _probe(ctx.a.rows, ctx.a.domain)
+
+    def __getattr__(self, name):
+        value = getattr(self._ctx, name)
+        if isinstance(value, Matrix):
+            value = Pending(value, self._probe)
+            setattr(self, name, value)
+        return value
+
+
+def _exact_values(statements: dict, ctx: LawContext) -> dict:
+    """{statement id: value} of the exact evaluators among `statements`,
+    run on one deferred view of ctx, in order; sampled (None) entries are
+    left out."""
+    view = ctx.deferred()
+    return {stmt: fn(view) for stmt, fn in statements.items() if fn is not None}
 
 
 def _is_scalar_matrix(c: Matrix) -> bool:
@@ -531,7 +581,9 @@ def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
     check_hypotheses(law, ctx)
     spec = LAWS[law]
     evaluate = spec.statements[stmt]
-    return inclusion_holds(spec.sampled, ctx) if evaluate is None else evaluate(ctx)
+    if evaluate is None:
+        return inclusion_holds(spec.sampled, ctx)
+    return _exact_values({stmt: evaluate}, ctx)[stmt]
 
 
 def _k_inverses(ctx: LawContext, ks, xa, xb):
@@ -650,9 +702,11 @@ def check_equivalence(
     """Evaluate every statement of the law and compare truth values.
 
     The verdict is EQUIVALENT iff all statement values agree.  Exact
-    statements are computed directly.  A set inclusion is None when the
-    exact statements disagree, and True when its target product is zero
-    (e.g. ab = 0), which makes every membership trivial and adds a note.
+    statements run on one deferred view of ctx (LawContext.deferred), so
+    a part the probe vector refutes forms no product.  A set inclusion is
+    None when the exact statements disagree, and True when its target
+    product is zero (e.g. ab = 0), which makes every membership trivial
+    and adds a note.
     Otherwise inclusion_holds decides it, and random draws only search
     for a witness against it: when the exact statements are false,
     `falsify_samples` draws run before the decider, and the decider runs
@@ -673,7 +727,7 @@ def check_equivalence(
         )
     spec = LAWS[law]
     sampled = spec.sampled
-    values = {stmt: fn(ctx) for stmt, fn in spec.statements.items() if fn is not None}
+    values = _exact_values(spec.statements, ctx)
     exact = set(values.values())
     witness = notes = details = None
     if sampled is not None:

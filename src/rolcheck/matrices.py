@@ -24,17 +24,46 @@ kernel choice never changes a result.  Products (`@`) go to the domain's
 `ScalarDomain.matmul` in the same way: integer dot products of the
 numerators for Q(i), plain int dot products reduced once per entry for
 F_p.
+
+`Pending` records `@`, `+` and `-` of matrices without forming them, so
+that `==` and `is_zero()` can first refute an identity on a probe vector
+with matrix-vector products; the laws' statement evaluators run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, matmul, sub
 
 from .errors import DimensionMismatch, DomainMismatch, Singular
 from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, prime_field
 
 
-class Matrix:
+class _Shaped:
+    """Shape and domain checks shared by Matrix and Pending."""
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def _same_domain(self, other):
+        if self.domain != other.domain:
+            raise DomainMismatch(f"{self.domain.name} vs {other.domain.name}")
+
+    def _same_shape(self, other, op):
+        """Whether other is of this class, raising if it is but its domain
+        or shape differs."""
+        if not isinstance(other, type(self)):
+            return False
+        self._same_domain(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
+        return True
+
+
+class Matrix(_Shaped):
     # _factors is None, except on a matrix harness.random_matrix_of_rank
     # returns: there it is the RankFactorization(u, v, r) the matrix was
     # drawn as, u v, with rank r proved.  geninv's MacDuffee formula uses it
@@ -107,18 +136,6 @@ class Matrix:
     def row(self, i):
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
-    def _same_domain(self, other):
-        if self.domain != other.domain:
-            raise DomainMismatch(f"{self.domain.name} vs {other.domain.name}")
-
-    def _same_shape(self, other, op):
-        if not isinstance(other, Matrix):
-            return False
-        self._same_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
-        return True
-
     def __add__(self, other):
         if not self._same_shape(other, "+"):
             return NotImplemented
@@ -167,10 +184,6 @@ class Matrix:
     def is_identity(self):
         return self.rows == self.cols and self.form == self.domain.identity_form(self.rows)
 
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
@@ -186,6 +199,99 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.domain.name}: {self})"
+
+
+class Pending(_Shaped):
+    """A matrix expression whose n x n products are formed only when needed.
+
+    A node is a leaf holding a formed Matrix, or (op, left, right) for
+    `@`, `+` or `-` of two nodes; `@` associates as written, so a node
+    records the order in which its products would be formed.  `value()`
+    forms the node's matrix in that order.  `apply(v)` multiplies the node
+    into the column vector v right to left, with matrix-vector products
+    only: (x @ y) v = x (y v) and (x +- y) v = x v +- y v.
+
+    `==` and `is_zero()` first compare the images of the node's probe
+    vector.  Images that differ prove the matrices differ, in any domain
+    and for any probe (X v != Y v implies X != Y), so the answer is False
+    with no product formed.  Images that agree prove nothing: then the
+    matrices are formed and compared exactly.  Both the formed value and
+    the image of the probe are kept once computed."""
+
+    __slots__ = ("rows", "cols", "domain", "probe", "_op", "_left", "_right",
+                 "_value", "_image")
+
+    def __init__(self, value: Matrix, probe: Matrix):
+        self.rows = value.rows
+        self.cols = value.cols
+        self.domain = value.domain
+        self.probe = probe
+        self._op = self._left = self._right = self._image = None
+        self._value = value
+
+    def _node(self, op, other, rows, cols):
+        node = Pending.__new__(Pending)
+        node.rows = rows
+        node.cols = cols
+        node.domain = self.domain
+        node.probe = self.probe
+        node._op = op
+        node._left = self
+        node._right = other
+        node._value = node._image = None
+        return node
+
+    def __matmul__(self, other):
+        if not isinstance(other, Pending):
+            return NotImplemented
+        self._same_domain(other)
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.shape} @ {other.shape}")
+        return self._node(matmul, other, self.rows, other.cols)
+
+    def __add__(self, other):
+        if not self._same_shape(other, "+"):
+            return NotImplemented
+        return self._node(add, other, self.rows, self.cols)
+
+    def __sub__(self, other):
+        if not self._same_shape(other, "-"):
+            return NotImplemented
+        return self._node(sub, other, self.rows, self.cols)
+
+    def value(self) -> Matrix:
+        if self._value is None:
+            self._value = self._op(self._left.value(), self._right.value())
+        return self._value
+
+    def apply(self, v: Matrix) -> Matrix:
+        """This node's matrix times v; the image of the probe is kept."""
+        if v is self.probe and self._image is not None:
+            return self._image
+        if self._value is not None:
+            image = self._value @ v
+        elif self._op is matmul:
+            image = self._left.apply(self._right.apply(v))
+        else:
+            image = self._op(self._left.apply(v), self._right.apply(v))
+        if v is self.probe:
+            self._image = image
+        return image
+
+    def is_zero(self):
+        return self.apply(self.probe).is_zero() and self.value().is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, Matrix):
+            other = Pending(other, self.probe)
+        elif not isinstance(other, Pending):
+            return NotImplemented
+        v = self.probe
+        if self.cols == other.cols and self.apply(v) != other.apply(v):
+            return False
+        return self.value() == other.value()
+
+    __hash__ = None
 
 
 def _select(matrices, rows, cols, index) -> Matrix:

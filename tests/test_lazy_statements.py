@@ -11,10 +11,22 @@ Moore-Penrose inverse.  Spies on Matrix.__matmul__ and on mp_inverse pin
 the laziness: check_equivalence forms no further Moore-Penrose inverse on
 T23 and GREVILLE, and a false first part of T23 (ii) or (iii) ends the
 statement before the second part's products are formed.
+
+The checker runs the exact statements on LawContext.deferred, where a
+part is first refuted on a probe vector and formed only when the probe
+cannot refute it.  The tests from test_deferred_values_equal_the_eager_ones
+on hold the deferred values against the evaluators run on the context
+itself, pin an F_3 part that the probe cannot refute, and count the
+products the view forms.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -33,12 +45,16 @@ from rolcheck import (
     gen_instance,
     inverse,
     is_mp_inverse,
+    law_statement,
     mp_inverse,
     prime_field,
 )
-from rolcheck.harness import _trial_seeds, random_matrix_of_rank
-from rolcheck.laws import LAWS
-from rolcheck.matrices import random_matrix
+from rolcheck.cli import main
+from rolcheck.harness import _trial_seeds, _trials, random_matrix_of_rank
+from rolcheck.laws import LAWS, check_hypotheses
+from rolcheck.matrices import Pending, matrix_to_json, random_matrix
+
+REPO = Path(__file__).resolve().parents[1]
 
 G = GAUSSIAN_RATIONAL
 DOMAINS = (G, prime_field(3), prime_field(5), prime_field(7))
@@ -222,3 +238,240 @@ def test_false_first_part_forms_no_product_of_the_second(monkeypatch):
                            if (x is ctx.s and y is ctx.r) or (x is ctx.r and y is ctx.s)]
             assert got == value, (stmt, value)
             assert bool(second_part) == value, (stmt, value)
+
+
+def _instances(domain, n, rng):
+    """_pool at n >= 2; at n = 1, 1 x 1 pairs of rank 0 or 1 and a random c."""
+    if n > 1:
+        yield from _pool(domain, n, rng)
+        return
+    for _ in range(4):
+        yield (random_matrix_of_rank(domain, 1, 1, rng.randint(0, 1), rng),
+               random_matrix_of_rank(domain, 1, 1, rng.randint(0, 1), rng),
+               random_matrix(domain, 1, 1, rng))
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+def test_deferred_values_equal_the_eager_ones(domain):
+    """Every exact statement of all 15 laws, run on one deferred view per
+    instance, gives the value its evaluator gives on the context itself;
+    the coupled pairs make many parts hold, so the exact fallback runs."""
+    rng = random.Random(27)
+    seen = set()
+    for n in (1, 2, 3, 4, 6):
+        for a, b, c in _instances(domain, n, rng):
+            try:
+                ctx = LawContext(a, b, c)
+            except NoMPInverse:
+                continue
+            view = ctx.deferred()
+            for law, spec in LAWS.items():
+                for stmt, evaluate in spec.statements.items():
+                    if evaluate is not None:
+                        value = evaluate(view)
+                        assert value == evaluate(ctx), (law, stmt, a, b, c)
+                        seen.add(value)
+    assert seen == {True, False}
+
+
+def _t24_ii_first_part(ctx):
+    return ctx.b_star @ (ctx.c_star @ ctx.s @ ctx.r_dag - ctx.r_dag @ ctx.s) @ ctx.a_dag @ ctx.c
+
+
+def test_a_part_the_probe_cannot_refute_is_decided_exactly():
+    """Over F_3 the first part of T24 (ii) here is [1 1; 2 2], which sends
+    the probe (1, 2)^T to zero.  The exact comparison must find it nonzero,
+    so (ii) is False as written; a probe trusted when it agrees would make
+    (ii) True and the report a violation."""
+    f3 = prime_field(3)
+    a = Matrix.from_rows([[0, 1], [0, 1]], f3)
+    b = Matrix.from_rows([[2, 1], [2, 0]], f3)
+    ctx = LawContext(a, b, Matrix.identity(2, f3))
+    part = _t24_ii_first_part(ctx.deferred())
+    assert not part.is_zero()
+    assert part.apply(part.probe).is_zero()
+    assert part.value() == Matrix.from_rows([[1, 1], [2, 2]], f3)
+    assert law_statement(LawId.T24, "ii", ctx) is False
+    report = check_equivalence(LawId.T24, ctx)
+    assert report.statement_values == {"i": False, "ii": False, "iii": False}
+    assert report.verdict == "equivalent"
+
+
+def test_pending_compares_as_the_formed_matrices():
+    """== and is_zero() on Pending agree with the formed matrices, also
+    where the shapes differ, and == takes a formed Matrix on either side."""
+    rng = random.Random(5)
+    probe = Matrix(3, 1, G, [G.coerce(i) for i in (1, 2, 3)])
+    x, y = (Pending(random_matrix(G, 3, 3, rng), probe) for _ in range(2))
+    wide = Pending(random_matrix(G, 2, 3, rng), probe)
+    for left, right in ((x @ y, y @ x), (x - x, x + x), (x @ y - y, x @ y - y)):
+        formed = (left.value(), right.value())
+        assert (left == right) == (formed[0] == formed[1])
+        assert (left == formed[1]) == (formed[1] == left) == (formed[0] == formed[1])
+        assert left.is_zero() == formed[0].is_zero()
+    assert not wide == x and not x == wide
+    assert (x - x).is_zero() and not x.is_zero()
+
+
+def _formed_products(monkeypatch, run):
+    """(result of run(), [(left, right)] of every product formed)."""
+    pairs = []
+    original = Matrix.__matmul__
+
+    def spied(self, other):
+        pairs.append((self, other))
+        return original(self, other)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Matrix, "__matmul__", spied)
+        out = run()
+    return out, pairs
+
+
+def test_value_forms_the_written_association(monkeypatch):
+    """value() forms x (y z) as y z first, then x times it, and (x y) z as
+    x y first; each node forms its product once."""
+    rng = random.Random(6)
+    probe = Matrix(2, 1, G, [G.coerce(1), G.coerce(2)])
+    x, y, z = (random_matrix(G, 2, 2, rng) for _ in range(3))
+    px, py, pz = (Pending(m, probe) for m in (x, y, z))
+    for node, expected in ((px @ (py @ pz), [(y, z), (x, y @ z)]),
+                           ((px @ py) @ pz, [(x, y), (x @ y, z)])):
+        value, pairs = _formed_products(monkeypatch, lambda: (node.value(), node.value()))
+        assert pairs == expected and value[0] is value[1]
+
+
+def _decided_trials(law, spec, count):
+    for _, _, ctx in _trials(law, spec, count):
+        if ctx is not None:
+            check_hypotheses(law, ctx)
+            yield ctx
+
+
+def test_a_refuted_part_forms_no_square_product(monkeypatch):
+    """On seed-1 T23 trials of the Q(i), n = 6 benchmark workload, (ii) and
+    (iii) are false, refuted on the probe: their leaves are already formed,
+    so evaluating them forms only matrix-vector products."""
+    spec = InstanceSpec(G, 6, rank_a=4, rank_b=4, weight_mode="commutant", seed=1)
+    refuted = 0
+    for ctx in _decided_trials(LawId.T23, spec, 4):
+        view = ctx.deferred()
+        for stmt in ("ii", "iii"):
+            value, pairs = _formed_products(
+                monkeypatch, lambda: LAWS[LawId.T23].statements[stmt](view))
+            assert value is False, stmt
+            assert all(y.cols == 1 for _, y in pairs), stmt
+            refuted += 1
+    assert refuted == 8
+
+
+def test_t32_forms_the_products_of_the_eager_evaluators(monkeypatch):
+    """T32 (ii) is memberships only, which form their operands on entry: on
+    the benchmark workload's trials check_equivalence forms the same
+    matrix products, in the same order, as with the evaluators run on the
+    context itself.  (The set inclusion's products with WordMatrix
+    parameters are left out of the comparison.)"""
+    spec = InstanceSpec(G, 4, rank_a=3, rank_b=4, weight_mode="identity", seed=1)
+    compared = 0
+    for ctx in _decided_trials(LawId.T32, spec, 3):
+        runs = []
+        for deferred in (LawContext.deferred, lambda self: self):
+            fresh = LawContext(ctx.a, ctx.b, ctx.c)
+            with monkeypatch.context() as patch:
+                patch.setattr(LawContext, "deferred", deferred)
+                report, pairs = _formed_products(
+                    monkeypatch, lambda: check_equivalence(LawId.T32, fresh))
+            runs.append((report.to_json_dict(),
+                         [(x.shape, x.form, y.shape, y.form) for x, y in pairs
+                          if isinstance(y, Matrix)]))
+        assert runs[0] == runs[1]
+        compared += 1
+    assert compared == 3
+
+
+def _run_law_check(tmp_path, matrices, law):
+    args = ["law", "check", "--law", law]
+    for name, rows in matrices.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(rows), encoding="utf-8")
+        args += [f"--{name}", str(path)]
+    out = tmp_path / "report.json"
+    assert main([*args, "--json", str(out)]) == 0
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+def _square(domain, rows):
+    n = len(rows)
+    return matrix_to_json(Matrix(n, n, domain, [domain.parse(v) for row in rows for v in row]))
+
+
+_NOTE = "target product is zero; every candidate is trivially a K-inverse"
+_F3 = prime_field(3)
+
+
+@pytest.mark.parametrize("matrices, expected", [
+    ({"a": _square(G, []), "b": _square(G, [])},
+     {"T23": ("equivalent", [True] * 3, None),
+      "T32": ("equivalent", [True] * 2, _NOTE),
+      "T38": ("equivalent", [True] * 4, _NOTE)}),
+    ({"a": _square(G, [["2"]]), "b": _square(G, [["1+i"]])},
+     {"T23": ("equivalent", [True] * 3, None),
+      "T32": ("equivalent", [True] * 2, None),
+      "T38": ("equivalent", [True] * 4, None)}),
+    ({"a": _square(G, [["2"]]), "b": _square(G, [["1+i"]]), "c": _square(G, [["3"]])},
+     {"T23": ("equivalent", [False] * 3, None),
+      "T32": ("equivalent", [False] * 2, None),
+      "T38": ("hypothesis_not_met", [], None)}),
+    ({"a": _square(G, [["0"]]), "b": _square(G, [["1"]])},
+     {"T23": ("equivalent", [True] * 3, None),
+      "T32": ("equivalent", [True] * 2, _NOTE),
+      "T38": ("equivalent", [True] * 4, _NOTE)}),
+    ({"a": _square(_F3, [["2"]]), "b": _square(_F3, [["1"]]), "c": _square(_F3, [["2"]])},
+     {"T23": ("equivalent", [False] * 3, None),
+      "T32": ("equivalent", [False] * 2, None),
+      "T38": ("hypothesis_not_met", [], None)}),
+], ids=["0x0", "1x1", "1x1-weight-3", "1x1-zero-a", "1x1-f3-weight-2"])
+def test_law_check_on_edge_shapes(tmp_path, matrices, expected):
+    """`law check` on 0 x 0 and 1 x 1 matrices exits 0 with the report the
+    checker gave before statements ran on the deferred view."""
+    for law, (verdict, values, notes) in expected.items():
+        report = _run_law_check(tmp_path, matrices, law)
+        assert report["verdict"] == verdict, law
+        assert list(report["statement_values"].values()) == values, law
+        assert report.get("notes") == notes, law
+
+
+def test_weightless_context_view():
+    """GREVILLE reads no weight and evaluates on a weightless context; T23
+    reads c and raises the AttributeError the context raises."""
+    a, b = _coupled_pair(G, 3, random.Random(8))
+    ctx = LawContext(a, b)
+    for stmt in ("i", "ii"):
+        assert law_statement(LawId.GREVILLE, stmt, ctx) is True
+    for stmt, evaluate in LAWS[LawId.T23].statements.items():
+        with pytest.raises(AttributeError, match="'c'"):
+            evaluate(ctx.deferred())
+    with pytest.raises(AttributeError, match="'c'"):
+        law_statement(LawId.T23, "ii", ctx)
+
+
+def _cli_outputs(tmp_path, flags):
+    """(exit code, JSON text) of suites and statement searches for T23
+    and GREVILLE, run as `python [flags] -m rolcheck`."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    outputs = []
+    for law in ("T23", "GREVILLE"):
+        for command in (["suite", "--trials", "6"], ["law", "search", "--stmt", "ii"]):
+            out = tmp_path / "out.json"
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "rolcheck", *command, "--law", law,
+                 "--size", "3", "--seed", "4", "--json", str(out)],
+                capture_output=True, text=True, env=env)
+            outputs.append((proc.returncode, out.read_text(encoding="utf-8")))
+    return outputs
+
+
+def test_outputs_do_not_change_under_python_O(tmp_path):
+    """The probe holds no assert: under -O the suites and statement searches
+    give the same reports."""
+    assert _cli_outputs(tmp_path, ["-O"]) == _cli_outputs(tmp_path, [])
