@@ -18,11 +18,12 @@ their unique solution, so m+ itself is never formed.
 The exact statements run on a deferred view of the context
 (LawContext.deferred), whose matrices are matrices.Pending leaves: `@`,
 `+` and `-` there only record the expression as written.  `==` and
-`is_zero()` first multiply both sides into one probe vector, right to
-left, with matrix-vector products; images that differ refute the part
-exactly, with no n x n product formed.  Images that agree decide
-nothing, and the part is then formed in its written order and compared
-exactly, so every value is the one the written formula gives.  A
+`is_zero()` first multiply both sides into the probe vector that Pending
+builds, right to left, with matrix-vector products; images that differ
+refute the part exactly, with no n x n product formed.  Images that
+agree decide nothing, and the part is then formed in its written order
+and compared exactly, so every value is the one the written formula
+gives.  A
 statement of two parts joined by `and` forms nothing of the second part
 when the first is false.  Hypotheses, the blanket identities and the set
 inclusions run on the context itself.
@@ -45,9 +46,9 @@ Law identifiers and their statement (i):
     T39       dual four-way with {1,4} and c b+ a+
 
 Everything the checker knows about a law (its commute side, further
-hypotheses, statements and set inclusion, and for the four-way laws the
-products their generated weight must fix) is one LawSpec entry of the
-LAWS registry below.
+hypotheses, statements, and for the four-way laws the products their
+generated weight must fix) is one LawSpec entry of the LAWS registry
+below.  A set inclusion is an Inclusion in its own statement slot.
 
 A set inclusion is decided exactly.  Its K-inverses are the affine
 families a+ + (e - a+ a) Y (K = {1,3}) or a+ + Y (e - a a+) (K = {1,4})
@@ -64,7 +65,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Callable, Optional
 
 from .errors import BlanketIdentityFailed, DimensionMismatch, HypothesisNotMet
@@ -165,9 +166,9 @@ class LawContext:
 
         Each matrix attribute reads as a matrices.Pending leaf, built when
         first read and kept, so that products are formed only where the
-        probe vector cannot refute a statement part; the leaves share the
-        probe (1, 2, ..., n)^T.  Other attributes pass through, and a
-        missing one (c before set_weight) raises the same AttributeError."""
+        probe vector, which Pending builds, cannot refute a statement
+        part.  Other attributes pass through, and a missing one (c before
+        set_weight) raises the same AttributeError."""
         return _Deferred(self)
 
     @cached_property
@@ -216,34 +217,18 @@ class LawContext:
         return self.e - self.p
 
 
-@lru_cache(maxsize=32)
-def _probe(n: int, domain) -> Matrix:
-    """(1, 2, ..., n)^T in the domain, the probe vector of every deferred
-    view of size n; matrices are immutable, so the views share it."""
-    return Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
-
-
 class _Deferred:
     """LawContext.deferred: the context's matrices as Pending leaves."""
 
     def __init__(self, ctx: LawContext):
         self._ctx = ctx
-        self._probe = _probe(ctx.a.rows, ctx.a.domain)
 
     def __getattr__(self, name):
         value = getattr(self._ctx, name)
         if isinstance(value, Matrix):
-            value = Pending(value, self._probe)
+            value = Pending(value)
             setattr(self, name, value)
         return value
-
-
-def _exact_values(statements: dict, ctx: LawContext) -> dict:
-    """{statement id: value} of the exact evaluators among `statements`,
-    run on one deferred view of ctx, in order; sampled (None) entries are
-    left out."""
-    view = ctx.deferred()
-    return {stmt: fn(view) for stmt, fn in statements.items() if fn is not None}
 
 
 def _is_scalar_matrix(c: Matrix) -> bool:
@@ -443,12 +428,11 @@ def _t39_iv(ctx):
 
 
 @dataclass(frozen=True)
-class SampledStatement:
-    """A quantified statement: every product of K-inverses of b and a
+class Inclusion:
+    """A set-inclusion statement: every product of K-inverses of b and a
     lies in the target's K-inverse set.  The product also runs on
     WordMatrix parameters, so it may use only +, -, @ and star."""
 
-    stmt: str
     ks: tuple  # K: (1, 3) or (1, 4)
     target: Callable[[LawContext], Matrix]
     product: Callable[[LawContext, Matrix, Matrix], Matrix]  # (ctx, b_inv, a_inv)
@@ -468,10 +452,15 @@ class LawSpec:
 
     side: Optional[str]  # c commutes with this and its star: "a", "b", "scalar" or None
     hypotheses: tuple  # further hypotheses that read c, in checking order
-    statements: dict  # statement id -> exact evaluator (None: sampled), in reporting order
-    sampled: Optional[SampledStatement] = None
+    statements: dict  # statement id -> exact evaluator or Inclusion, in reporting order
     weight_zero: Optional[Callable[[Matrix], tuple]] = None  # ab -> (left_zero, right_zero)
     pair_hypotheses: tuple = ()  # hypotheses on a and b alone, checked last
+
+    @property
+    def inclusion(self) -> Optional[tuple]:
+        """(statement id, Inclusion) of the law's set inclusion, or None."""
+        return next(((stmt, s) for stmt, s in self.statements.items()
+                     if isinstance(s, Inclusion)), None)
 
 
 def _statements(*evaluators) -> dict:
@@ -503,30 +492,29 @@ LAWS = {
                             pair_hypotheses=(_AB_MP,)),
     LawId.KOLIHA_DC: LawSpec(None, (), _statements(_greville_i, _koliha_ii),
                              pair_hypotheses=(_AB_MP,)),
-    LawId.T32: LawSpec("a", (), _statements(None, _t32_ii), SampledStatement(
-        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c)),
-    LawId.C33: LawSpec("a", (), _statements(None, _c33_ii), SampledStatement(
-        "i", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c),
+    LawId.T32: LawSpec("a", (), _statements(Inclusion(
+        (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c), _t32_ii)),
+    LawId.C33: LawSpec("a", (), _statements(Inclusion(
+        (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c), _c33_ii),
         pair_hypotheses=(_A_COMP_MP,)),
-    LawId.T34: LawSpec("b", (), _statements(None, _t34_ii), SampledStatement(
-        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv)),
-    LawId.C35: LawSpec("b", (), _statements(None, _c35_ii), SampledStatement(
-        "i", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv),
+    LawId.T34: LawSpec("b", (), _statements(Inclusion(
+        (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv), _t34_ii)),
+    LawId.C35: LawSpec("b", (), _statements(Inclusion(
+        (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv), _c35_ii),
         pair_hypotheses=(_B_COMP_MP,)),
-    LawId.T36: LawSpec("a", (), _statements(None, _t36_ii), SampledStatement(
-        "i", (1, 3), lambda ctx: ctx.cab, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
-    LawId.T37: LawSpec("b", (), _statements(None, _t37_ii), SampledStatement(
-        "i", (1, 4), lambda ctx: ctx.abc, lambda ctx, b_inv, a_inv: b_inv @ a_inv)),
+    LawId.T36: LawSpec("a", (), _statements(Inclusion(
+        (1, 3), lambda ctx: ctx.cab, lambda ctx, b_inv, a_inv: b_inv @ a_inv), _t36_ii)),
+    LawId.T37: LawSpec("b", (), _statements(Inclusion(
+        (1, 4), lambda ctx: ctx.abc, lambda ctx, b_inv, a_inv: b_inv @ a_inv), _t37_ii)),
     LawId.T38: LawSpec(
         "a",
         (
             ("cab = ab", lambda ctx: ctx.cab == ctx.ab),
             ("c*ab = ab", lambda ctx: ctx.c_star @ ctx.ab == ctx.ab),
         ),
-        _statements(_t38_i, None, _t38_iii, _t38_iv),
-        SampledStatement(
-            "ii", (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c
-        ),
+        _statements(_t38_i, Inclusion(
+            (1, 3), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: b_inv @ a_inv @ ctx.c
+        ), _t38_iii, _t38_iv),
         weight_zero=lambda ab: ((ab.star(),), (ab,)),  # (ab)* y = 0, y ab = 0
         pair_hypotheses=(
             _AB_MP,
@@ -540,10 +528,9 @@ LAWS = {
             ("abc = ab", lambda ctx: ctx.abc == ctx.ab),
             ("abc* = ab", lambda ctx: ctx.ab @ ctx.c_star == ctx.ab),
         ),
-        _statements(_t39_i, None, _t39_iii, _t39_iv),
-        SampledStatement(
-            "ii", (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
-        ),
+        _statements(_t39_i, Inclusion(
+            (1, 4), lambda ctx: ctx.ab, lambda ctx, b_inv, a_inv: ctx.c @ b_inv @ a_inv
+        ), _t39_iii, _t39_iv),
         weight_zero=lambda ab: ((ab,), (ab.star(),)),  # ab y = 0, y (ab)* = 0
         pair_hypotheses=(
             _AB_MP,
@@ -579,11 +566,10 @@ def law_statement(law: LawId, stmt: str, ctx: LawContext) -> bool:
     once; see inclusion_holds."""
     check_statement_id(law, stmt)
     check_hypotheses(law, ctx)
-    spec = LAWS[law]
-    evaluate = spec.statements[stmt]
-    if evaluate is None:
-        return inclusion_holds(spec.sampled, ctx)
-    return _exact_values({stmt: evaluate}, ctx)[stmt]
+    evaluate = LAWS[law].statements[stmt]
+    if isinstance(evaluate, Inclusion):
+        return inclusion_holds(evaluate, ctx)
+    return evaluate(ctx.deferred())
 
 
 def _k_inverses(ctx: LawContext, ks, xa, xb):
@@ -595,7 +581,7 @@ def _k_inverses(ctx: LawContext, ks, xa, xb):
     return ctx.b_dag + xb @ ctx.comp14_b, ctx.a_dag + xa @ ctx.comp14_a
 
 
-def inclusion_holds(sampled: SampledStatement, ctx: LawContext) -> bool:
+def inclusion_holds(inclusion: Inclusion, ctx: LawContext) -> bool:
     """Exact truth of a set inclusion on an instance.
 
     The product of the K-inverses of b and a, with free parameters Z and
@@ -603,9 +589,10 @@ def inclusion_holds(sampled: SampledStatement, ctx: LawContext) -> bool:
     Penrose equations of is_k_inverse hold as polynomial identities in
     Y, Z and their stars; wordpoly decides those from the coefficients."""
     n, domain = ctx.a.rows, ctx.a.domain
-    b_inv, a_inv = _k_inverses(ctx, sampled.ks, WordMatrix.parameter("Y", n, n, domain),
+    b_inv, a_inv = _k_inverses(ctx, inclusion.ks, WordMatrix.parameter("Y", n, n, domain),
                                WordMatrix.parameter("Z", n, n, domain))
-    return is_k_inverse(sampled.target(ctx), sampled.product(ctx, b_inv, a_inv), sampled.ks)
+    return is_k_inverse(inclusion.target(ctx), inclusion.product(ctx, b_inv, a_inv),
+                        inclusion.ks)
 
 
 @dataclass(frozen=True)
@@ -626,8 +613,8 @@ def inclusion_statement_sampled(
     a witness.  The draws prove only a failure; inclusion_holds decides
     the statement.  Hypotheses are not checked: the inclusion is defined
     on every instance."""
-    sampled = LAWS[law].sampled
-    if sampled is None:
+    _, inclusion = LAWS[law].inclusion or (None, None)
+    if inclusion is None:
         raise ValueError(f"{law} has no quantified statement")
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -635,29 +622,29 @@ def inclusion_statement_sampled(
     n, domain = ctx.a.rows, ctx.a.domain
     draws = ((random_matrix(domain, n, n, rng), random_matrix(domain, n, n, rng))
              for _ in range(samples))
-    found = _first_break(sampled, ctx, draws)
+    found = _first_break(inclusion, ctx, draws)
     return SampledVerdict(True, samples) if found is None else SampledVerdict(False, *found)
 
 
-def _basis_witness(sampled: SampledStatement, ctx: LawContext) -> tuple:
+def _basis_witness(inclusion: Inclusion, ctx: LawContext) -> tuple:
     """(b-side inverse, a-side inverse, product) for the first parameters
     from wordpoly.basis_points whose product breaks an inclusion that
     inclusion_holds found false; such parameters always exist."""
     points = basis_points(ctx.a.rows, ctx.a.cols, ctx.a.domain)
-    found = _first_break(sampled, ctx, ((xa, xb) for xb in points for xa in points))
+    found = _first_break(inclusion, ctx, ((xa, xb) for xb in points for xa in points))
     if found is None:
         raise RuntimeError("the inclusion was decided false, but no basis point breaks it")
     return found[1]
 
 
-def _first_break(sampled: SampledStatement, ctx: LawContext, params):
+def _first_break(inclusion: Inclusion, ctx: LawContext, params):
     """(position from 1, (b-side inverse, a-side inverse, product)) for the
     first (Y, Z) pair in params whose product breaks the inclusion, or None."""
-    target = sampled.target(ctx)
+    target = inclusion.target(ctx)
     for t, (xa, xb) in enumerate(params, 1):
-        b_inv, a_inv = _k_inverses(ctx, sampled.ks, xa, xb)
-        product = sampled.product(ctx, b_inv, a_inv)
-        if not is_k_inverse(target, product, sampled.ks):
+        b_inv, a_inv = _k_inverses(ctx, inclusion.ks, xa, xb)
+        product = inclusion.product(ctx, b_inv, a_inv)
+        if not is_k_inverse(target, product, inclusion.ks):
             return t, (b_inv, a_inv, product)
     return None
 
@@ -726,28 +713,30 @@ def check_equivalence(
             law, {}, False, HYPOTHESIS_NOT_MET, details=exc.hypothesis
         )
     spec = LAWS[law]
-    sampled = spec.sampled
-    values = _exact_values(spec.statements, ctx)
+    view = ctx.deferred()
+    values = {stmt: evaluate(view) for stmt, evaluate in spec.statements.items()
+              if not isinstance(evaluate, Inclusion)}
     exact = set(values.values())
     witness = notes = details = None
-    if sampled is not None:
+    if spec.inclusion is not None:
+        stmt, inclusion = spec.inclusion
         if len(exact) > 1:
-            values[sampled.stmt] = None
-        elif sampled.target(ctx).is_zero():
-            values[sampled.stmt] = True
+            values[stmt] = None
+        elif inclusion.target(ctx).is_zero():
+            values[stmt] = True
             notes = "target product is zero; every candidate is trivially a K-inverse"
         else:
             exact_hold = exact.pop()
             draws = None if exact_hold else inclusion_statement_sampled(
                 law, ctx, falsify_samples, seed)
-            holds = (draws is None or draws.all_passed) and inclusion_holds(sampled, ctx)
-            values[sampled.stmt] = holds
+            holds = (draws is None or draws.all_passed) and inclusion_holds(inclusion, ctx)
+            values[stmt] = holds
             if not holds:
                 if exact_hold:
                     draws = inclusion_statement_sampled(law, ctx, samples, seed)
                     broke = f"sample {draws.tested}" if draws.witness else "a basis-matrix product"
                     details = f"exact statements hold but {broke} broke the inclusion"
-                witness = draws.witness or _basis_witness(sampled, ctx)
+                witness = draws.witness or _basis_witness(inclusion, ctx)
     verdict = EQUIVALENT if len(set(values.values())) == 1 else VIOLATION
     if verdict == VIOLATION and details is None:
         details = "statement values disagree: " + ", ".join(

@@ -26,44 +26,22 @@ numerators for Q(i), plain int dot products reduced once per entry for
 F_p.
 
 `Pending` records `@`, `+` and `-` of matrices without forming them, so
-that `==` and `is_zero()` can first refute an identity on a probe vector
-with matrix-vector products; the laws' statement evaluators run on it.
+that `==` and `is_zero()` can first refute an identity on its own probe
+vector with matrix-vector products, which Matrix forms and checks; the
+laws' statement evaluators run on it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, matmul, sub
 
 from .errors import DimensionMismatch, DomainMismatch, Singular
 from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, prime_field
 
 
-class _Shaped:
-    """Shape and domain checks shared by Matrix and Pending."""
-
-    __slots__ = ()
-
-    @property
-    def shape(self):
-        return (self.rows, self.cols)
-
-    def _same_domain(self, other):
-        if self.domain != other.domain:
-            raise DomainMismatch(f"{self.domain.name} vs {other.domain.name}")
-
-    def _same_shape(self, other, op):
-        """Whether other is of this class, raising if it is but its domain
-        or shape differs."""
-        if not isinstance(other, type(self)):
-            return False
-        self._same_domain(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
-        return True
-
-
-class Matrix(_Shaped):
+class Matrix:
     # _factors is None, except on a matrix harness.random_matrix_of_rank
     # returns: there it is the RankFactorization(u, v, r) the matrix was
     # drawn as, u v, with rank r proved.  geninv's MacDuffee formula uses it
@@ -105,6 +83,24 @@ class Matrix(_Shaped):
         if self._entries is None:
             self._entries = self.domain.form_entries(self.form)
         return self._entries
+
+    @property
+    def shape(self):
+        return (self.rows, self.cols)
+
+    def _same_domain(self, other):
+        if self.domain != other.domain:
+            raise DomainMismatch(f"{self.domain.name} vs {other.domain.name}")
+
+    def _same_shape(self, other, op):
+        """Whether other is a Matrix, raising if it is but its domain or
+        shape differs."""
+        if not isinstance(other, Matrix):
+            return False
+        self._same_domain(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise DimensionMismatch(f"{self.shape} {op} {other.shape}")
+        return True
 
     @classmethod
     def from_rows(cls, rows, domain):
@@ -201,7 +197,14 @@ class Matrix(_Shaped):
         return f"Matrix({self.rows}x{self.cols} over {self.domain.name}: {self})"
 
 
-class Pending(_Shaped):
+@lru_cache(maxsize=32)
+def _probe(n: int, domain: ScalarDomain) -> Matrix:
+    """(1, 2, ..., n)^T in the domain, the probe of every Pending with n
+    columns there; matrices are immutable, so the nodes share it."""
+    return Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
+
+
+class Pending:
     """A matrix expression whose n x n products are formed only when needed.
 
     A node is a leaf holding a formed Matrix, or (op, left, right) for
@@ -211,30 +214,31 @@ class Pending(_Shaped):
     into the column vector v right to left, with matrix-vector products
     only: (x @ y) v = x (y v) and (x +- y) v = x v +- y v.
 
-    `==` and `is_zero()` first compare the images of the node's probe
-    vector.  Images that differ prove the matrices differ, in any domain
-    and for any probe (X v != Y v implies X != Y), so the answer is False
-    with no product formed.  Images that agree prove nothing: then the
-    matrices are formed and compared exactly.  Both the formed value and
-    the image of the probe are kept once computed."""
+    A node's probe is (1, 2, ..., n)^T for its n columns, one object per n
+    and domain; an `@` node takes its columns and probe from its right
+    operand, a `+` or `-` node from its left.  `==` and `is_zero()` first
+    compare the images of the probe.  Images that differ prove the
+    matrices differ, in any domain and for any probe (X v != Y v implies
+    X != Y), so the answer is False with no product formed.  Images that
+    agree prove nothing: then the matrices are formed and compared
+    exactly.  Both the formed value and the image of the probe are kept
+    once computed.  A node checks no shape or domain itself: the Matrix
+    operations that form its images and values raise DimensionMismatch
+    or DomainMismatch."""
 
-    __slots__ = ("rows", "cols", "domain", "probe", "_op", "_left", "_right",
-                 "_value", "_image")
+    __slots__ = ("cols", "probe", "_op", "_left", "_right", "_value", "_image")
 
-    def __init__(self, value: Matrix, probe: Matrix):
-        self.rows = value.rows
+    def __init__(self, value: Matrix):
         self.cols = value.cols
-        self.domain = value.domain
-        self.probe = probe
+        self.probe = _probe(value.cols, value.domain)
         self._op = self._left = self._right = self._image = None
         self._value = value
 
-    def _node(self, op, other, rows, cols):
+    def _node(self, op, other, like):
+        """The node (op, self, other), with the columns and probe of `like`."""
         node = Pending.__new__(Pending)
-        node.rows = rows
-        node.cols = cols
-        node.domain = self.domain
-        node.probe = self.probe
+        node.cols = like.cols
+        node.probe = like.probe
         node._op = op
         node._left = self
         node._right = other
@@ -244,20 +248,17 @@ class Pending(_Shaped):
     def __matmul__(self, other):
         if not isinstance(other, Pending):
             return NotImplemented
-        self._same_domain(other)
-        if self.cols != other.rows:
-            raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-        return self._node(matmul, other, self.rows, other.cols)
+        return self._node(matmul, other, other)
 
     def __add__(self, other):
-        if not self._same_shape(other, "+"):
+        if not isinstance(other, Pending):
             return NotImplemented
-        return self._node(add, other, self.rows, self.cols)
+        return self._node(add, other, self)
 
     def __sub__(self, other):
-        if not self._same_shape(other, "-"):
+        if not isinstance(other, Pending):
             return NotImplemented
-        return self._node(sub, other, self.rows, self.cols)
+        return self._node(sub, other, self)
 
     def value(self) -> Matrix:
         if self._value is None:
@@ -283,15 +284,13 @@ class Pending(_Shaped):
 
     def __eq__(self, other):
         if isinstance(other, Matrix):
-            other = Pending(other, self.probe)
+            other = Pending(other)
         elif not isinstance(other, Pending):
             return NotImplemented
         v = self.probe
         if self.cols == other.cols and self.apply(v) != other.apply(v):
             return False
         return self.value() == other.value()
-
-    __hash__ = None
 
 
 def _select(matrices, rows, cols, index) -> Matrix:

@@ -199,7 +199,7 @@ def _run_inclusion_criterion(num, laws, forced_rank, seed_base, label):
     Every trial must be equivalent, and every statement-false trial must
     carry a witness product outside the target's K-inverse set."""
     for law in laws:
-        sampled = LAWS[law].sampled
+        _, inclusion = LAWS[law].inclusion
         confirmed = 0
         falsified = 0
         trivial = 0
@@ -230,7 +230,7 @@ def _run_inclusion_criterion(num, laws, forced_rank, seed_base, label):
             else:
                 falsified += 1
                 product = report.witness[2]
-                assert not is_k_inverse(sampled.target(ctx), product, sampled.ks)
+                assert not is_k_inverse(inclusion.target(ctx), product, inclusion.ks)
         assert confirmed > 0, f"{law}: no statement-true instances sampled"
         _pass(num, f"{label} {law}: 300 instances (true-path {confirmed + trivial}, "
                    f"witnessed {falsified})")

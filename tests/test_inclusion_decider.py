@@ -43,7 +43,19 @@ G = GAUSSIAN_RATIONAL
 F5 = prime_field(5)
 DOMAINS = (G, F5, prime_field(7))
 DRAWS = 200
-SAMPLED_LAWS = [law for law in LawId if LAWS[law].sampled is not None]
+SAMPLED_LAWS = [law for law in LawId if LAWS[law].inclusion is not None]
+
+
+def _inclusion(law):
+    return LAWS[law].inclusion[1]
+
+
+def _with_product(law, product):
+    """LAWS[law] with the product of its inclusion replaced."""
+    spec = LAWS[law]
+    stmt, inclusion = spec.inclusion
+    return replace(spec, statements={**spec.statements,
+                                     stmt: replace(inclusion, product=product)})
 
 
 def _contexts(law, domain):
@@ -51,7 +63,7 @@ def _contexts(law, domain):
     full rank (b for K = {1,3}, a for K = {1,4}), the law's generated
     weights, also with the other side of rank 1 so that they need not be
     scalar, and scalar weights at n = 3."""
-    full, low = ("rank_b", "rank_a") if 3 in LAWS[law].sampled.ks else ("rank_a", "rank_b")
+    full, low = ("rank_b", "rank_a") if 3 in _inclusion(law).ks else ("rank_a", "rank_b")
     plans = [
         (2, "identity", {full: 2}, 100),
         (4, "identity", {full: 4}, 101),
@@ -74,7 +86,7 @@ def _differential(law, contexts):
     disagrees with the reference."""
     outcomes, disagreements = set(), []
     for ctx, seed in contexts:
-        decided = inclusion_holds(LAWS[law].sampled, ctx)
+        decided = inclusion_holds(_inclusion(law), ctx)
         outcomes.add(decided)
         if decided != sampled_inclusion(law, ctx.a, ctx.b, ctx.c, DRAWS, seed):
             disagreements.append((seed, decided))
@@ -84,7 +96,7 @@ def _differential(law, contexts):
 def test_reference_covers_every_sampled_law():
     assert set(INCLUSIONS) == set(SAMPLED_LAWS)
     for law in SAMPLED_LAWS:
-        assert INCLUSIONS[law][0] == LAWS[law].sampled.ks
+        assert INCLUSIONS[law][0] == _inclusion(law).ks
 
 
 @pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
@@ -100,19 +112,18 @@ def test_decision_agrees_with_sampling(law, domain):
     (LawId.T37, G, lambda ctx, b_inv, a_inv: a_inv @ b_inv),
 ], ids=["T32-c-moved", "T37-swapped"])
 def test_planted_product_slip_is_caught(monkeypatch, law, domain, slip):
-    spec = LAWS[law]
-    monkeypatch.setitem(LAWS, law, replace(spec, sampled=replace(spec.sampled, product=slip)))
+    monkeypatch.setitem(LAWS, law, _with_product(law, slip))
     _, disagreements = _differential(law, _contexts(law, domain))
     assert disagreements
 
 
 def _replays(law, ctx, witness) -> bool:
-    sampled = LAWS[law].sampled
+    inclusion = _inclusion(law)
     b_inv, a_inv, product = witness
-    return (is_k_inverse(ctx.b, b_inv, sampled.ks)
-            and is_k_inverse(ctx.a, a_inv, sampled.ks)
-            and product == sampled.product(ctx, b_inv, a_inv)
-            and not is_k_inverse(sampled.target(ctx), product, sampled.ks))
+    return (is_k_inverse(ctx.b, b_inv, inclusion.ks)
+            and is_k_inverse(ctx.a, a_inv, inclusion.ks)
+            and product == inclusion.product(ctx, b_inv, a_inv)
+            and not is_k_inverse(inclusion.target(ctx), product, inclusion.ks))
 
 
 def _blind_sampler(law, ctx, samples, seed):
@@ -134,9 +145,8 @@ def test_basis_witness_for_an_equivalence_when_draws_find_nothing(monkeypatch):
 def test_basis_witness_for_a_violation_when_draws_find_nothing(monkeypatch):
     # Swapping the factors of T32's product breaks the inclusion on an
     # instance whose exact statements hold.
-    spec = LAWS[LawId.T32]
-    slip = replace(spec.sampled, product=lambda ctx, b_inv, a_inv: a_inv @ b_inv @ ctx.c)
-    monkeypatch.setitem(LAWS, LawId.T32, replace(spec, sampled=slip))
+    monkeypatch.setitem(LAWS, LawId.T32, _with_product(
+        LawId.T32, lambda ctx, b_inv, a_inv: a_inv @ b_inv @ ctx.c))
     monkeypatch.setattr(rolcheck.laws, "inclusion_statement_sampled", _blind_sampler)
     spec = InstanceSpec(domain=G, size=2, rank_a=1, rank_b=2, weight_mode="identity", seed=7)
     ctx = LawContext(*gen_instance(spec, LawId.T32))

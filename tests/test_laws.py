@@ -32,7 +32,7 @@ from rolcheck import (
     rank,
 )
 from rolcheck.harness import _trial_seeds
-from rolcheck.laws import LAWS
+from rolcheck.laws import LAWS, Inclusion
 from variant_reference import variant_context
 
 G = GAUSSIAN_RATIONAL
@@ -268,7 +268,8 @@ def _outcome_instance(name):
 # (law, planted exact statements, instance, expected verdict, statement
 # values, details, notes, whether a witness is reported, calls of the
 # decider and the witness draws in order).  The planted statements reach
-# each outcome on a correct checker; the inclusion itself is not planted.
+# each outcome on a correct checker; the inclusion itself (None) is not
+# planted.
 _OUTCOMES = {
     "exact-disagree": (
         LawId.T38, {"i": True, "ii": None, "iii": False, "iv": True}, "units",
@@ -303,8 +304,8 @@ def test_check_equivalence_outcomes(monkeypatch, case):
     (law, planted, instance, verdict, values, details, notes, has_witness,
      calls) = _OUTCOMES[case]
     spec = LAWS[law]
-    statements = {stmt: None if value is None else (lambda ctx, value=value: value)
-                  for stmt, value in planted.items()}
+    statements = {stmt: spec.statements[stmt] if value is None
+                  else (lambda ctx, value=value: value) for stmt, value in planted.items()}
     monkeypatch.setitem(LAWS, law, replace(spec, statements=statements))
     log = []
     draws, decide = rolcheck.laws.inclusion_statement_sampled, rolcheck.laws.inclusion_holds
@@ -425,12 +426,13 @@ def test_commutation_hypothesis_gate():
 def test_registry_entry_is_consistent(law):
     spec = LAWS[law]
     assert spec.side in ("a", "b", "scalar", None)
-    sampled = [stmt for stmt, fn in spec.statements.items() if fn is None]
-    if spec.sampled is None:
-        assert sampled == []
-    else:
-        assert sampled == [spec.sampled.stmt]
-        assert spec.sampled.ks in ((1, 3), (1, 4))
+    # each slot is an exact evaluator or a set inclusion, and a law has at
+    # most one set inclusion
+    slots = spec.statements.values()
+    assert all(callable(s) or isinstance(s, Inclusion) and s.ks in ((1, 3), (1, 4))
+               for s in slots)
+    assert sum(isinstance(s, Inclusion) for s in slots) <= 1
+    assert list(spec.statements) == ["i", "ii", "iii", "iv"][:len(spec.statements)]
     # the four-way weights fix ab from the side they commute with
     assert spec.weight_zero is None or spec.side in ("a", "b")
 

@@ -147,7 +147,7 @@ for name, attempt, error in (
 laws.is_k_inverse = lambda a, x, k: True
 e = Matrix.identity(2, G)
 try:
-    laws._basis_witness(laws.LAWS[LawId.T32].sampled, laws.LawContext(e, e, e))
+    laws._basis_witness(laws.LAWS[LawId.T32].inclusion[1], laws.LawContext(e, e, e))
 except RuntimeError:
     print("caught: basis witness")
 """
