@@ -52,13 +52,13 @@ def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
     that fails ends the test.  Each product is formed when an equation
     first needs it: a x for (3), x a for (4), and (1) and (2) reuse them,
     so a false membership forms only the products up to its first
-    failing equation.  A matrices.Pending operand, as the laws' statement
-    evaluators pass, is formed on entry and the equations run on matrices
-    as written; wordpoly.WordMatrix operands pass through unchanged.
+    failing equation.  On matrices.Pending operands, as the laws' statement
+    evaluators pass, a x and x a are Pending nodes, so (3) and (4) are
+    first refuted on their probe with no product formed; what passes,
+    and (1) and (2), run on the formed values.  Matrix and
+    wordpoly.WordMatrix operands run the equations as written.
     K = {} is rejected; a vacuous membership test silently passing
     everything is a bug magnet for the set-inclusion laws."""
-    a = a.value() if isinstance(a, Pending) else a
-    x = x.value() if isinstance(x, Pending) else x
     ks = frozenset(k)
     if not ks:
         raise EmptyK("K must name at least one Penrose equation")
@@ -74,6 +74,7 @@ def is_k_inverse(a: Matrix, x: Matrix, k) -> bool:
         xa = x @ a
         if not xa.is_hermitian():
             return False
+    a, x, ax, xa = (m.value() if isinstance(m, Pending) else m for m in (a, x, ax, xa))
     if 1 in ks:
         ax = a @ x if ax is None else ax
         if not ax @ a == a:

@@ -16,17 +16,20 @@ decided by is_mp_inverse(m, z), the four Penrose equations on z: m+ is
 their unique solution, so m+ itself is never formed.
 
 The exact statements run on a deferred view of the context
-(LawContext.deferred), whose matrices are matrices.Pending leaves: `@`,
-`+` and `-` there only record the expression as written.  `==` and
-`is_zero()` first multiply both sides into the probe vector that Pending
-builds, right to left, with matrix-vector products; images that differ
-refute the part exactly, with no n x n product formed.  Images that
-agree decide nothing, and the part is then formed in its written order
-and compared exactly, so every value is the one the written formula
-gives.  A
-statement of two parts joined by `and` forms nothing of the second part
-when the first is false.  Hypotheses, the blanket identities and the set
-inclusions run on the context itself.
+(LawContext.deferred), whose matrices are matrices.Pending leaves, and
+whose ab, cab and abc are Pending products of them until the context
+holds them: `@`, `+` and `-` there only record the expression as
+written.  `==`, `is_zero()` and `is_hermitian()`, the last for Penrose
+equations (3) and (4) in is_k_inverse, first compare images of a probe
+vector mod a prime, through each domain's ring map to F_q, with
+matrix-vector products; images that differ refute the part exactly,
+with no n x n product formed.  Images that agree decide nothing, and
+the part is then formed in its written order and compared exactly, so
+every value is the one the written formula gives.  A statement of two
+parts joined by `and` forms nothing of the second part when the first
+is false.  Hypotheses, the blanket identities and the set inclusions run
+on the context itself, except that a Moore-Penrose hypothesis reads its
+matrix on the view and forms it only where the domain does not answer.
 
 Law identifiers and their statement (i):
 
@@ -167,8 +170,16 @@ class LawContext:
         Each matrix attribute reads as a matrices.Pending leaf, built when
         first read and kept, so that products are formed only where the
         probe vector, which Pending builds, cannot refute a statement
-        part.  Other attributes pass through, and a missing one (c before
-        set_weight) raises the same AttributeError."""
+        part.  ab, cab and abc that the context does not hold yet read as
+        Pending products of the leaves, c (ab) and (ab) c, and the
+        context's own ab, cab and abc are the values of those nodes, so
+        either forms each product once.  Other attributes pass through,
+        and a missing one (c before set_weight) raises the same
+        AttributeError.  A context has one view, kept."""
+        return self._view
+
+    @cached_property
+    def _view(self) -> _Deferred:
         return _Deferred(self)
 
     @cached_property
@@ -181,15 +192,15 @@ class LawContext:
 
     @cached_property
     def ab(self) -> Matrix:
-        return self.a @ self.b
+        return self._view.ab.value()
 
     @cached_property
     def cab(self) -> Matrix:
-        return self.c @ self.ab
+        return self._view.cab.value()
 
     @cached_property
     def abc(self) -> Matrix:
-        return self.ab @ self.c
+        return self._view.abc.value()
 
     @cached_property
     def q_dag(self) -> Matrix:
@@ -217,26 +228,43 @@ class LawContext:
         return self.e - self.p
 
 
+# The context's products, as (left, right) factors in its own association.
+_PRODUCTS = {"ab": ("a", "b"), "cab": ("c", "ab"), "abc": ("ab", "c")}
+
+
 class _Deferred:
-    """LawContext.deferred: the context's matrices as Pending leaves."""
+    """LawContext.deferred: the context's matrices as Pending leaves, and
+    the products it does not hold yet as Pending products."""
 
     def __init__(self, ctx: LawContext):
         self._ctx = ctx
 
     def __getattr__(self, name):
-        value = getattr(self._ctx, name)
-        if isinstance(value, Matrix):
-            value = Pending(value)
-            setattr(self, name, value)
-        return value
+        ctx = self._ctx
+        if name in _PRODUCTS and name not in vars(ctx):
+            left, right = _PRODUCTS[name]
+            node = getattr(self, left) @ getattr(self, right)
+        else:
+            value = getattr(ctx, name)
+            if not isinstance(value, Matrix):
+                return value
+            node = Pending(value)
+        setattr(self, name, node)
+        return node
 
 
 def _is_scalar_matrix(c: Matrix) -> bool:
     return c == Matrix.identity(c.rows, c.domain).scale(c[0, 0]) if c.rows else True
 
 
-def _mp_ok(m: Matrix) -> bool:
-    return m.domain.mp_always_exists or mp_exists(m)
+def _mp_hypothesis(name: str, m_of: Callable) -> tuple:
+    """The hypothesis that m_of(ctx) is Moore-Penrose invertible.  m_of
+    runs on the deferred view, so it reads what it reads (c, say) but
+    forms its matrix only where the domain does not answer for it."""
+    def holds(ctx):
+        m = m_of(ctx.deferred())
+        return m.domain.mp_always_exists or mp_exists(m.value())
+    return name, holds
 
 
 # --- exact statement evaluators ---------------------------------------------
@@ -473,13 +501,13 @@ _SIDE_HYPOTHESES = {
     "scalar": (("c is a scalar multiple of the identity", lambda ctx: _is_scalar_matrix(ctx.c)),),
 }
 
-_AB_MP = ("ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.ab))
-_CAB_MP = ("cab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.cab))
-_ABC_MP = ("abc is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.abc))
-_A_COMP_MP = ("a(e - bb+) is Moore-Penrose invertible",
-              lambda ctx: _mp_ok(ctx.a @ (ctx.e - ctx.p)))
-_B_COMP_MP = ("(e - a+a)b is Moore-Penrose invertible",
-              lambda ctx: _mp_ok((ctx.e - ctx.s) @ ctx.b))
+_AB_MP = _mp_hypothesis("ab is Moore-Penrose invertible", lambda ctx: ctx.ab)
+_CAB_MP = _mp_hypothesis("cab is Moore-Penrose invertible", lambda ctx: ctx.cab)
+_ABC_MP = _mp_hypothesis("abc is Moore-Penrose invertible", lambda ctx: ctx.abc)
+_A_COMP_MP = _mp_hypothesis("a(e - bb+) is Moore-Penrose invertible",
+                            lambda ctx: ctx.a @ (ctx.e - ctx.p))
+_B_COMP_MP = _mp_hypothesis("(e - a+a)b is Moore-Penrose invertible",
+                            lambda ctx: (ctx.e - ctx.s) @ ctx.b)
 
 LAWS = {
     LawId.T23: LawSpec("b", (), _statements(_t23_i, _t23_ii, _t23_iii), pair_hypotheses=(_AB_MP,)),
@@ -518,7 +546,7 @@ LAWS = {
         weight_zero=lambda ab: ((ab.star(),), (ab,)),  # (ab)* y = 0, y ab = 0
         pair_hypotheses=(
             _AB_MP,
-            ("abb+ is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.a @ ctx.p)),
+            _mp_hypothesis("abb+ is Moore-Penrose invertible", lambda ctx: ctx.a @ ctx.p),
             _A_COMP_MP,
         ),
     ),
@@ -534,7 +562,7 @@ LAWS = {
         weight_zero=lambda ab: ((ab,), (ab.star(),)),  # ab y = 0, y (ab)* = 0
         pair_hypotheses=(
             _AB_MP,
-            ("a+ab is Moore-Penrose invertible", lambda ctx: _mp_ok(ctx.s @ ctx.b)),
+            _mp_hypothesis("a+ab is Moore-Penrose invertible", lambda ctx: ctx.s @ ctx.b),
             _B_COMP_MP,
         ),
     ),

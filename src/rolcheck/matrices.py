@@ -26,9 +26,13 @@ numerators for Q(i), plain int dot products reduced once per entry for
 F_p.
 
 `Pending` records `@`, `+` and `-` of matrices without forming them, so
-that `==` and `is_zero()` can first refute an identity on its own probe
-vector with matrix-vector products, which Matrix forms and checks; the
-laws' statement evaluators run on it.
+that `==`, `is_zero()` and `is_hermitian()` can first refute an identity
+on a probe vector.  The probe runs mod a prime q, on each leaf's image
+through its domain's ring map to F_q, with `scalars.matmul_columns_mod`
+matrix-vector products, one path for both domains; an identity the probe
+cannot refute is formed and compared exactly.  The laws' statement
+evaluators and the Penrose equations (3) and (4) of their memberships
+run on it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from functools import lru_cache
 from operator import add, matmul, sub
 
 from .errors import DimensionMismatch, DomainMismatch, Singular
-from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, prime_field
+from .scalars import GAUSSIAN_RATIONAL, ScalarDomain, columns, matmul_columns_mod, prime_field
 
 
 class Matrix:
@@ -198,99 +202,159 @@ class Matrix:
 
 
 @lru_cache(maxsize=32)
-def _probe(n: int, domain: ScalarDomain) -> Matrix:
-    """(1, 2, ..., n)^T in the domain, the probe of every Pending with n
-    columns there; matrices are immutable, so the nodes share it."""
-    return Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
+def _probe(n: int, q: int) -> tuple:
+    """(1, 2, ..., n) mod q, the probe of every Pending with n columns and
+    images mod q."""
+    return tuple(i % q for i in range(1, n + 1))
+
+
+class _NoImage(Exception):
+    """A leaf's entries lie outside the domain's ring map (`form_image`)."""
+
+
+def _refuted(left, right) -> bool:
+    """Whether the images left() and right() differ, which refutes
+    left = right exactly.  Images that agree, or a leaf with no image,
+    decide nothing, and the answer is False."""
+    try:
+        return left() != right()
+    except _NoImage:
+        return False
 
 
 class Pending:
     """A matrix expression whose n x n products are formed only when needed.
 
     A node is a leaf holding a formed Matrix, or (op, left, right) for
-    `@`, `+` or `-` of two nodes; `@` associates as written, so a node
-    records the order in which its products would be formed.  `value()`
-    forms the node's matrix in that order.  `apply(v)` multiplies the node
-    into the column vector v right to left, with matrix-vector products
-    only: (x @ y) v = x (y v) and (x +- y) v = x v +- y v.
+    `@`, `+` or `-` of two nodes of one domain, whose shapes it checks as
+    Matrix does; `@` associates as written, so a node records the order in
+    which its products would be formed.  `value()` forms the node's matrix
+    in that order.
 
-    A node's probe is (1, 2, ..., n)^T for its n columns, one object per n
-    and domain; an `@` node takes its columns and probe from its right
-    operand, a `+` or `-` node from its left.  `==` and `is_zero()` first
-    compare the images of the probe.  Images that differ prove the
-    matrices differ, in any domain and for any probe (X v != Y v implies
-    X != Y), so the answer is False with no product formed.  Images that
-    agree prove nothing: then the matrices are formed and compared
-    exactly.  Both the formed value and the image of the probe are kept
-    once computed.  A node checks no shape or domain itself: the Matrix
-    operations that form its images and values raise DimensionMismatch
-    or DomainMismatch."""
+    `==`, `is_zero()` and `is_hermitian()` first compare images of the
+    probe v = (1, 2, ..., n)^T, ints mod q, through the domain's ring map
+    to F_q (`ScalarDomain.form_image`): the values over F_p, and the
+    numerators times d^-1 mod P over Q(i).  `image()` is the image of
+    M v, taken right to left, (x @ y) v = x (y v) and (x +- y) v = x v +-
+    y v, with `scalars.matmul_columns_mod` on each leaf's image rows, so
+    no n x n product is formed.  `image(star=True)` is the image of M* v,
+    taken the same way through M* = y* x*, with each leaf's star imaged
+    through the map after the involution (`form_image` with conjugate).
+    A ring map sends equal matrices to equal images and a hermitian M to
+    equal images of M v and M* v, so images that differ refute the
+    comparison exactly.  Images that agree prove nothing, and a leaf
+    whose denominator is 0 mod q has no image: then the matrices are
+    formed and compared exactly.  The formed value, the images and each
+    leaf's image rows are kept once computed."""
 
-    __slots__ = ("cols", "probe", "_op", "_left", "_right", "_value", "_image")
+    __slots__ = ("rows", "cols", "domain", "_op", "_left", "_right", "_value", "_images",
+                 "_leaf_rows")
+
+    shape = Matrix.shape
+    _same_domain = Matrix._same_domain
 
     def __init__(self, value: Matrix):
-        self.cols = value.cols
-        self.probe = _probe(value.cols, value.domain)
-        self._op = self._left = self._right = self._image = None
+        self.rows, self.cols, self.domain = value.rows, value.cols, value.domain
+        self._op = self._left = self._right = None
         self._value = value
+        self._images = [None, None]
+        self._leaf_rows = [None, None]
 
-    def _node(self, op, other, like):
-        """The node (op, self, other), with the columns and probe of `like`."""
+    def _node(self, op, other, rows, cols):
         node = Pending.__new__(Pending)
-        node.cols = like.cols
-        node.probe = like.probe
-        node._op = op
-        node._left = self
-        node._right = other
-        node._value = node._image = None
+        node.rows, node.cols, node.domain = rows, cols, self.domain
+        node._op, node._left, node._right = op, self, other
+        node._value = None
+        node._images = [None, None]
         return node
 
     def __matmul__(self, other):
         if not isinstance(other, Pending):
             return NotImplemented
-        return self._node(matmul, other, other)
+        self._same_domain(other)
+        if self.cols != other.rows:
+            raise DimensionMismatch(f"{self.shape} @ {other.shape}")
+        return self._node(matmul, other, self.rows, other.cols)
+
+    def _sum(self, op, other, sign):
+        if not isinstance(other, Pending):
+            return NotImplemented
+        self._same_domain(other)
+        if self.shape != other.shape:
+            raise DimensionMismatch(f"{self.shape} {sign} {other.shape}")
+        return self._node(op, other, self.rows, self.cols)
 
     def __add__(self, other):
-        if not isinstance(other, Pending):
-            return NotImplemented
-        return self._node(add, other, self)
+        return self._sum(add, other, "+")
 
     def __sub__(self, other):
-        if not isinstance(other, Pending):
-            return NotImplemented
-        return self._node(sub, other, self)
+        return self._sum(sub, other, "-")
 
     def value(self) -> Matrix:
         if self._value is None:
             self._value = self._op(self._left.value(), self._right.value())
         return self._value
 
-    def apply(self, v: Matrix) -> Matrix:
-        """This node's matrix times v; the image of the probe is kept."""
-        if v is self.probe and self._image is not None:
-            return self._image
-        if self._value is not None:
-            image = self._value @ v
-        elif self._op is matmul:
-            image = self._left.apply(self._right.apply(v))
-        else:
-            image = self._op(self._left.apply(v), self._right.apply(v))
-        if v is self.probe:
-            self._image = image
+    def _rows_of(self, star):
+        """The rows of this leaf's image, or with star of its star's image
+        (the columns of its conjugate image), through the domain's ring
+        map to F_q; kept."""
+        rows = self._leaf_rows[star]
+        if rows is None:
+            image = self.domain.form_image(self._value.form, star)
+            if image is None:
+                raise _NoImage
+            m, n = self.rows, self.cols
+            rows = columns(image, n) if star else [image[i * n : (i + 1) * n] for i in range(m)]
+            self._leaf_rows[star] = rows
+        return rows
+
+    def _combine(self, x, y):
+        q = self.domain.image_prime
+        return [v % q for v in map(self._op, x, y)]
+
+    def _times(self, v, star):
+        """The image of this node's matrix, or with star of its star, times
+        the column v: (x @ y) v = x (y v) and (x @ y)* v = y* (x* v)."""
+        if self._op is None:
+            return matmul_columns_mod(v, self._rows_of(star), 1, len(v), self.domain.image_prime)
+        if self._op is matmul:
+            first, last = (self._left, self._right) if star else (self._right, self._left)
+            return last._times(first._times(v, star), star)
+        return self._combine(self._left._times(v, star), self._right._times(v, star))
+
+    def image(self, star=False) -> list:
+        """The image of M v, or with star of M* v, for the probe v of M's
+        columns (M*'s); kept.  It raises _NoImage where a leaf has none."""
+        image = self._images[star]
+        if image is None:
+            if self._op is None:
+                n = self.rows if star else self.cols
+                image = self._times(_probe(n, self.domain.image_prime), star)
+            elif self._op is matmul:
+                first, last = (self._left, self._right) if star else (self._right, self._left)
+                image = last._times(first.image(star), star)
+            else:
+                image = self._combine(self._left.image(star), self._right.image(star))
+            self._images[star] = image
         return image
 
     def is_zero(self):
-        return self.apply(self.probe).is_zero() and self.value().is_zero()
+        return not _refuted(self.image, lambda: [0] * self.rows) and self.value().is_zero()
+
+    def is_hermitian(self):
+        return (self.rows == self.cols and not _refuted(self.image, lambda: self.image(True))
+                and self.value().is_hermitian())
 
     def __eq__(self, other):
+        """Equality, as Matrix.__eq__: False across domains and shapes."""
         if isinstance(other, Matrix):
             other = Pending(other)
         elif not isinstance(other, Pending):
             return NotImplemented
-        v = self.probe
-        if self.cols == other.cols and self.apply(v) != other.apply(v):
+        if self.domain != other.domain or self.shape != other.shape:
             return False
-        return self.value() == other.value()
+        return not _refuted(self.image, other.image) and self.value() == other.value()
 
 
 def _select(matrices, rows, cols, index) -> Matrix:

@@ -26,7 +26,10 @@ ranks run on two kernels over ints mod p, `matmul_mod` and
 on packed bytes, so that CPython's big-int and bytes operations do the
 per-entry work in C: a product when k (p - 1)**2 < 256 for inner size k,
 a row reduction when p * p <= 256.  Every wider modulus, the Q(i) residue
-prime among them, runs the loops.  Both paths return the same ints.
+prime among them, runs the loops.  Both paths return the same ints.  The
+statement probes of `matrices.Pending` run the loops' `matmul_columns_mod`
+on each domain's `form_image`: a ring map to F_p itself over F_p, and to
+F_P over Q(i).
 """
 
 from __future__ import annotations
@@ -325,9 +328,11 @@ class ScalarDomain:
     form_star(x, rows, cols), the conjugate transpose, form_select(forms,
     index), the entries at `index` of the forms laid end to end,
     form_is_zero(x), row_reduce and matmul.  A random matrix is drawn
-    straight as a form, by sample_form(rng, count)."""
+    straight as a form, by sample_form(rng, count).  form_image(x) sends a
+    form through a ring map to F_q, on whose ints the mod-q kernels run."""
 
     name = "abstract"
+    image_prime = None  # the q of form_image
     mp_always_exists = False
     real_units = ()
     residues_are_values = False
@@ -389,6 +394,14 @@ class ScalarDomain:
         map to F_q, so the rank of an image never exceeds the matrix's."""
         raise NotImplementedError
 
+    def form_image(self, x, conjugate=False):
+        """The entries of form x through a ring map to F_q, q =
+        `image_prime`, as row-major ints in [0, q); with conjugate, through
+        that map after the involution.  None where the map is not defined
+        on x.  Unlike `residues`, nothing is scaled first, so the images
+        of a product and a sum are the product and sum of the images."""
+        raise NotImplementedError
+
     def __repr__(self):
         return f"<ScalarDomain {self.name}>"
 
@@ -396,6 +409,7 @@ class ScalarDomain:
 class GaussianRationalDomain(ScalarDomain):
     name = "gaussian_rational"
     mp_always_exists = True  # Q(i) is formally real: x* x = 0 forces x = 0
+    image_prime = _P
     real_units = (GaussianRational(1), GaussianRational(0, 1))
 
     def zero(self):
@@ -588,6 +602,16 @@ class GaussianRationalDomain(ScalarDomain):
         to F_P by re + im i -> re + _I im."""
         return [[(a + _I * b) % _P for a, b in zip(re, im)] for re, im, _ in forms], _P
 
+    def form_image(self, x, conjugate=False):
+        """The numerators sent to F_P by re + im i -> re + _I im (by
+        re - _I im, the map after conjugation, with conjugate), times the
+        inverse of d mod P; None when P divides d."""
+        re, im, d = x
+        if not d % _P:
+            return None
+        t, i = pow(d, -1, _P), _P - _I if conjugate else _I
+        return [(a + i * b) * t % _P for a, b in zip(re, im)]
+
     def __eq__(self, other):
         return isinstance(other, GaussianRationalDomain)
 
@@ -726,7 +750,7 @@ class PrimeFieldDomain(ScalarDomain):
 
     def __init__(self, p):
         _check_odd_prime(p)
-        self.p = p
+        self.p = self.image_prime = p
         self.name = f"prime_field({p})"
         self.real_units = (self.one(),)  # the involution is the identity
 
@@ -815,6 +839,10 @@ class PrimeFieldDomain(ScalarDomain):
     def residues(self, forms):
         """The forms themselves, the element values: the map is the identity."""
         return list(forms), self.p
+
+    def form_image(self, x, conjugate=False):
+        """The values themselves; the involution fixes every element."""
+        return x
 
     def __eq__(self, other):
         return isinstance(other, PrimeFieldDomain) and other.p == self.p

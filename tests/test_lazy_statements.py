@@ -13,13 +13,16 @@ T23 and GREVILLE, and a false first part of T23 (ii) or (iii) ends the
 statement before the second part's products are formed.
 
 The checker runs the exact statements on LawContext.deferred, where a
-part is first refuted on a probe vector and formed only when the probe
-cannot refute it.  The tests from test_deferred_values_equal_the_eager_ones
-on hold the deferred values against the evaluators run on the context
-itself, pin an F_3 part that the probe cannot refute, and count the
-products the view forms.  Pending checks no shape or domain itself, so
-test_slips_raise_from_every_comparison pins that the Matrix operations it
-forms raise for operands that do not fit.
+part is first refuted on a probe vector mod a prime and formed only when
+the probe cannot refute it.  The tests from
+test_deferred_values_equal_the_eager_ones on hold the deferred values
+against the evaluators run on the context itself, pin an F_3 part that
+the probe cannot refute, and count the products the view forms.
+test_slips_raise_from_every_comparison pins that operands that do not
+fit raise, as Matrix raises.  From test_pending_comparisons_agree_with_the_formed_matrices
+on, ==, is_zero() and is_hermitian() are held against the formed
+matrices on random expressions, on a Q(i) leaf with no image mod P and
+on a matrix the hermitian probe cannot refute.
 """
 
 import json
@@ -28,7 +31,9 @@ import random
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -293,7 +298,7 @@ def test_a_part_the_probe_cannot_refute_is_decided_exactly():
     ctx = LawContext(a, b, Matrix.identity(2, f3))
     part = _t24_ii_first_part(ctx.deferred())
     assert not part.is_zero()
-    assert part.apply(part.probe).is_zero()
+    assert not any(part.image())
     assert part.value() == Matrix.from_rows([[1, 1], [2, 2]], f3)
     assert law_statement(LawId.T24, "ii", ctx) is False
     report = check_equivalence(LawId.T24, ctx)
@@ -337,18 +342,27 @@ def test_slips_raise_from_every_comparison(slip, error):
 
 
 def test_leaves_of_one_size_share_their_probe():
-    """Every n-column leaf of one domain reads one probe object, (1, ...,
-    n)^T, which the memo of apply relies on; an @ node takes its right
-    operand's probe, a + or - node its left operand's."""
+    """The image of every n-column leaf of one domain is the image of the
+    probe (1, ..., n)^T, ints mod the domain's image prime q: the leaf's
+    matrix times the probe, sent to F_q.  An @ node's image is its left
+    operand's image of its right operand's, a + or - node's the sum or
+    difference of its operands' images; so the identity, whose image is
+    the probe itself, reads the same probe in every node."""
     rng = random.Random(8)
     for domain in DOMAINS:
+        q = domain.image_prime
         for n in (1, 3, 6):
-            probe = Pending(Matrix.identity(n, domain)).probe
-            assert probe == Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
+            probe = [i % q for i in range(1, n + 1)]
+            e = Pending(Matrix.identity(n, domain))
+            assert e.image() == probe and (e @ e).image() == probe
             for rows in (1, 2, n):
-                leaf = Pending(random_matrix(domain, rows, n, rng))
-                assert leaf.probe is probe and (leaf - leaf).probe is probe
-                assert (Pending(random_matrix(domain, n, rows, rng)) @ leaf).probe is probe
+                matrix = random_matrix(domain, rows, n, rng)
+                leaf = Pending(matrix)
+                column = Matrix(n, 1, domain, [domain.coerce(i) for i in range(1, n + 1)])
+                assert leaf.image() == list(domain.form_image((matrix @ column).form))
+                assert (leaf @ e).image() == leaf.image()
+                assert (leaf - leaf).image() == [0] * rows
+                assert (leaf + leaf).image() == [2 * v % q for v in leaf.image()]
 
 def _formed_products(monkeypatch, run):
     """(result of run(), [(left, right)] of every product formed)."""
@@ -493,15 +507,17 @@ def test_weightless_context_view():
 
 def _cli_outputs(tmp_path, flags):
     """(exit code, JSON text) of suites and statement searches for T23
-    and GREVILLE, run as `python [flags] -m rolcheck`."""
+    and GREVILLE over Q(i) and T32 and T38 over F_7, run as
+    `python [flags] -m rolcheck`."""
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     outputs = []
-    for law in ("T23", "GREVILLE"):
+    for law, domain in (("T23", "gaussian_rational"), ("GREVILLE", "gaussian_rational"),
+                        ("T32", "fp:7"), ("T38", "fp:7")):
         for command in (["suite", "--trials", "6"], ["law", "search", "--stmt", "ii"]):
             out = tmp_path / "out.json"
             proc = subprocess.run(
                 [sys.executable, *flags, "-m", "rolcheck", *command, "--law", law,
-                 "--size", "3", "--seed", "4", "--json", str(out)],
+                 "--domain", domain, "--size", "3", "--seed", "4", "--json", str(out)],
                 capture_output=True, text=True, env=env)
             outputs.append((proc.returncode, out.read_text(encoding="utf-8")))
     return outputs
@@ -511,3 +527,125 @@ def test_outputs_do_not_change_under_python_O(tmp_path):
     """The probe holds no assert: under -O the suites and statement searches
     give the same reports."""
     assert _cli_outputs(tmp_path, ["-O"]) == _cli_outputs(tmp_path, [])
+
+
+# Comparisons as (operation, expression over leaves x, y, z, d and k).  d is
+# u (2, -1, 0, ...) and k is (2, -1, 0, ...)^T (0, 3, -2, 0, ...): d v = 0
+# and k v = k* v for the probe v = (1, 2, ..., n)^T exactly, so in every
+# domain the probe cannot see d, nor that k is not hermitian.
+_COMPARISONS = (
+    ("==", lambda m: (m.x @ (m.y @ m.z), (m.x @ m.y) @ m.z)),
+    ("==", lambda m: (m.x @ m.y + m.z, m.z + m.x @ m.y)),
+    ("==", lambda m: (m.x @ (m.y - m.z), m.x @ m.y - m.x @ m.z)),
+    ("==", lambda m: (m.x @ m.y, m.y @ m.x)),
+    ("==", lambda m: (m.x @ (m.y + m.d), m.x @ m.y)),
+    ("is_zero", lambda m: m.x @ m.y - m.x @ m.y),
+    ("is_zero", lambda m: m.x @ (m.y + m.d) - m.x @ m.y),
+    ("is_zero", lambda m: m.x - m.y),
+    ("is_zero", lambda m: (m.x @ m.y) @ m.z - m.x @ (m.y @ m.z)),
+    ("is_hermitian", lambda m: m.x @ m.x_star),
+    ("is_hermitian", lambda m: m.x + m.x_star),
+    ("is_hermitian", lambda m: m.x @ (m.y + m.y_star) @ m.x_star),
+    ("is_hermitian", lambda m: m.x @ m.y),
+    ("is_hermitian", lambda m: m.x @ m.x_star + m.k),
+    ("is_hermitian", lambda m: m.x_star @ (m.y @ m.y_star + m.k) @ m.x),
+)
+
+
+def _leaves(domain, n, rng):
+    """Random n x n x, y, z, their stars, and the probe-blind d and k."""
+    x, y, z = (random_matrix(domain, n, n, rng) for _ in range(3))
+    w = [2, -1] + [0] * (n - 2) if n > 1 else [0]
+    u = [0, 3, -2] + [0] * (n - 3) if n > 2 else [0] * n
+    d = random_matrix(domain, n, 1, rng) @ Matrix.from_rows([w], domain)
+    k = Matrix.from_rows([[a] for a in w], domain) @ Matrix.from_rows([u], domain)
+    return dict(x=x, y=y, z=z, x_star=x.star(), y_star=y.star(), d=d, k=k)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+def test_pending_comparisons_agree_with_the_formed_matrices(domain):
+    """==, is_zero() and is_hermitian() on Pending expressions give what the
+    same operation gives on the formed matrices, at n = 1-4 and 6, where
+    the probe refutes the comparison and where it cannot."""
+    rng = random.Random(30)
+    seen = {op: set() for op, _ in _COMPARISONS}
+    blind = 0
+    for n in (1, 2, 3, 4, 6):
+        for _ in range(4):
+            leaves = _leaves(domain, n, rng)
+            formed = SimpleNamespace(**leaves)
+            for op, of in _COMPARISONS:
+                pending = of(SimpleNamespace(**{k: Pending(v) for k, v in leaves.items()}))
+                expected = of(formed)
+                if op == "==":
+                    got = pending[0] == pending[1]
+                    assert got == (expected[0] == expected[1]), (op, n)
+                    assert (pending[0] == expected[1]) == (expected[1] == pending[0]) == got
+                else:
+                    got = getattr(pending, op)()
+                    assert got == getattr(expected, op)(), (op, n)
+                seen[op].add(got)
+            node = Pending(formed.x) @ Pending(formed.d)
+            blind += not any(node.image()) and not node.value().is_zero()
+    assert all(values == {True, False} for values in seen.values()), seen
+    assert blind > 0
+
+
+def test_a_leaf_with_no_image_is_decided_exactly():
+    """A Q(i) leaf whose denominator is a multiple of P = 32749 has no
+    image mod P.  Every comparison it takes part in is decided on the
+    formed matrices, true and false alike."""
+    rng = random.Random(31)
+    x, y = (random_matrix(G, 3, 3, rng) for _ in range(2))
+    far = x.scale(Fraction(1, 32749))
+    assert far.form[2] % 32749 == 0 and G.form_image(far.form) is None
+    leaf, other, star = Pending(far), Pending(y), Pending(far.star())
+    with pytest.raises(rolcheck.matrices._NoImage):
+        (other @ leaf).image()
+    assert leaf @ other == Pending(far @ y) and not leaf @ other == other @ leaf
+    assert leaf @ Pending(inverse(far)) == Pending(Matrix.identity(3, G))
+    assert (leaf @ other - Pending(far) @ other).is_zero() and not (leaf @ other).is_zero()
+    assert (leaf + star).is_hermitian() and (leaf @ star).is_hermitian()
+    assert not leaf.is_hermitian() and not (leaf @ other).is_hermitian()
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.name)
+def test_a_matrix_the_hermitian_probe_cannot_refute(domain):
+    """M = [0 -3 2; 0 0 -1; 0 0 0] has M v = M* v for v = (1, 2, 3)^T, but
+    M is not hermitian: is_hermitian() must decide it on M itself."""
+    m = Pending(Matrix.from_rows([[0, -3, 2], [0, 0, -1], [0, 0, 0]], domain))
+    assert m.image() == m.image(star=True)
+    assert not m.is_hermitian()
+
+
+def test_pending_equality_across_domains_is_false():
+    """As for Matrix, == over two domains is False, in both directions and
+    with a Pending on both sides; an expression over two domains raises
+    (test_slips_raise_from_every_comparison)."""
+    f5 = prime_field(5)
+    for n in (1, 3):
+        left, right = Matrix.identity(n, G), Matrix.identity(n, f5)
+        assert not left == right
+        assert not Pending(left) == right and not right == Pending(left)
+        assert not Pending(left) == Pending(right) and Pending(left) != Pending(right)
+
+
+@pytest.mark.parametrize("law, spec", [
+    (LawId.T23, InstanceSpec(G, 6, rank_a=4, rank_b=4, weight_mode="commutant", seed=1)),
+    (LawId.GREVILLE, InstanceSpec(G, 8, rank_a=6, rank_b=6, weight_mode="identity", seed=1)),
+], ids=["T23", "GREVILLE"])
+def test_a_false_statement_i_forms_no_product(law, spec, monkeypatch):
+    """On the seed-1 trials of the T23 and GREVILLE benchmark workloads,
+    the hypotheses over Q(i) form no ab, and statement (i) is false:
+    is_k_inverse refutes Penrose equation (3) on the probe and forms no
+    matrix product.  Once formed, the context's ab is the value of the
+    view's ab."""
+    decided = 0
+    for ctx in _decided_trials(law, spec, 2):
+        assert "ab" not in vars(ctx)
+        value, pairs = _formed_products(
+            monkeypatch, lambda: LAWS[law].statements["i"](ctx.deferred()))
+        assert value is False and pairs == []
+        assert ctx.ab is ctx.deferred().ab.value()
+        decided += 1
+    assert decided == 2
