@@ -175,12 +175,16 @@ class LawContext:
         context's own ab, cab and abc are the values of those nodes, so
         either forms each product once.  Other attributes pass through,
         and a missing one (c before set_weight) raises the same
-        AttributeError.  A context has one view, kept."""
-        return self._view
+        AttributeError.  The views of one context share their nodes,
+        which the context keeps in a dict: a kept view would refer back to
+        the context, and the cycle would outlive the trial until the
+        garbage collector ran."""
+        return _Deferred(self)
 
     @cached_property
-    def _view(self) -> _Deferred:
-        return _Deferred(self)
+    def _nodes(self) -> dict:
+        """The Pending nodes of the deferred views, by attribute name."""
+        return {}
 
     @cached_property
     def c_star(self) -> Matrix:
@@ -192,15 +196,15 @@ class LawContext:
 
     @cached_property
     def ab(self) -> Matrix:
-        return self._view.ab.value()
+        return _Deferred(self).ab.value()
 
     @cached_property
     def cab(self) -> Matrix:
-        return self._view.cab.value()
+        return _Deferred(self).cab.value()
 
     @cached_property
     def abc(self) -> Matrix:
-        return self._view.abc.value()
+        return _Deferred(self).abc.value()
 
     @cached_property
     def q_dag(self) -> Matrix:
@@ -241,14 +245,17 @@ class _Deferred:
 
     def __getattr__(self, name):
         ctx = self._ctx
-        if name in _PRODUCTS and name not in vars(ctx):
-            left, right = _PRODUCTS[name]
-            node = getattr(self, left) @ getattr(self, right)
-        else:
-            value = getattr(ctx, name)
-            if not isinstance(value, Matrix):
-                return value
-            node = Pending(value)
+        node = ctx._nodes.get(name)
+        if node is None:
+            if name in _PRODUCTS and name not in vars(ctx):
+                left, right = _PRODUCTS[name]
+                node = getattr(self, left) @ getattr(self, right)
+            else:
+                value = getattr(ctx, name)
+                if not isinstance(value, Matrix):
+                    return value
+                node = Pending(value)
+            ctx._nodes[name] = node
         setattr(self, name, node)
         return node
 
